@@ -9,7 +9,8 @@ within/between decomposition and finite-sample error half-widths.
 
 Layers, bottom up:
 
-* :mod:`fqs.sketch`: quantile grids, sketches, step CDFs, mixing, inversion.
+* :mod:`fqs.sketch`: quantile grids, sketches, count-weighted step CDFs,
+  mixing, inversion.
 * :mod:`fqs.distances`: transport and CDF distances, barycenters, dispersion.
 * :mod:`fqs.central`: centralized reference functionals on raw samples.
 * :mod:`fqs.protocol`: the one-round client/server audit.
@@ -48,7 +49,6 @@ from .errors import (
     ValidationError,
     exit_code_for,
 )
-from .numerics import neumaier_cumsum, neumaier_sum
 from .protocol import (
     AuditReport,
     AuditWeights,
@@ -78,7 +78,6 @@ from .sketch import (
     empirical_quantile,
     invert_step_cdf,
     mix_step_cdfs,
-    mixture_quantiles_on_grid,
     sketch_to_step_cdf,
 )
 from .sweep import SweepResult, SweepSpec, run_sweep
@@ -138,9 +137,6 @@ __all__ = [
     "message_from_json",
     "message_to_json",
     "mix_step_cdfs",
-    "mixture_quantiles_on_grid",
-    "neumaier_cumsum",
-    "neumaier_sum",
     "normal_cdf",
     "normal_quantile",
     "power_dispersion",

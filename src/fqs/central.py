@@ -25,10 +25,9 @@ from typing import Dict, Mapping
 
 import numpy as np
 
-from .distances import barycenter_quantiles, cramer_integral, power_dispersion
+from .distances import barycenter_quantiles, cdf_disparity, transport_disparity
 from .errors import ValidationError
-from .numerics import neumaier_sum
-from .sketch import GridSpec, QuantileSketch, build_sketch, mix_step_cdfs, sketch_to_step_cdf
+from .sketch import GridSpec, QuantileSketch, build_sketch, sketch_to_step_cdf
 
 __all__ = [
     "GroupedSample",
@@ -84,19 +83,14 @@ def u_hat(sample: GroupedSample, grid: GridSpec, p) -> float:
     """Transport disparity of the grouped sample, in p-th power units."""
     sketches = sample.sketches(grid)
     rows = np.vstack([sketches[label].values for label in sample.labels])
-    alpha = sample.alpha()
-    center = barycenter_quantiles(rows, alpha, p)
-    return power_dispersion(rows, alpha, center, p)
+    return transport_disparity(rows, sample.alpha(), p)[1]
 
 
 def h_hat(sample: GroupedSample, grid: GridSpec, p) -> float:
     """CDF disparity of the grouped sample, in p-th power units."""
     sketches = sample.sketches(grid)
     cdfs = [sketch_to_step_cdf(sketches[label]) for label in sample.labels]
-    alpha = sample.alpha()
-    pooled = mix_step_cdfs(cdfs, alpha)
-    terms = [alpha[i] * cramer_integral(cdfs[i], pooled, p) for i in range(len(cdfs))]
-    return float(neumaier_sum(terms))
+    return cdf_disparity(cdfs, sample.alpha(), p)
 
 
 def u2_linear_exact(sample: GroupedSample, grid: GridSpec) -> float:
@@ -114,14 +108,13 @@ def u2_linear_exact(sample: GroupedSample, grid: GridSpec) -> float:
     rows = np.vstack([sketches[label].values for label in sample.labels])
     alpha = sample.alpha()
     center = barycenter_quantiles(rows, alpha, 2)
-    per_group = np.empty(rows.shape[0], dtype=np.float64)
-    for i in range(rows.shape[0]):
-        d = rows[i] - center
-        inner = d[:-1] * d[:-1] + d[:-1] * d[1:] + d[1:] * d[1:]
-        per_group[i] = alpha[i] * (
-            (d[0] * d[0]) / (2.0 * k) + neumaier_sum(inner) / (3.0 * k) + (d[-1] * d[-1]) / (2.0 * k)
-        )
-    return float(neumaier_sum(per_group))
+    d = rows - center
+    inner = d[:, :-1] * d[:, :-1] + d[:, :-1] * d[:, 1:] + d[:, 1:] * d[:, 1:]
+    first = (d[:, 0] * d[:, 0]) / (2.0 * k)
+    last = (d[:, -1] * d[:, -1]) / (2.0 * k)
+    return math.fsum(
+        alpha[i] * (first[i] + math.fsum(inner[i]) / (3.0 * k) + last[i]) for i in range(rows.shape[0])
+    )
 
 
 def _two_group_arrays(sample: GroupedSample):
@@ -157,4 +150,4 @@ def u2_bin_averaged(sample: GroupedSample, grid: GridSpec) -> float:
         bin_means[(a * k) // big] += (b - a) / big * (q1 - q0)
     bin_means *= k
     alpha = sample.alpha()
-    return float(alpha[0] * alpha[1] * neumaier_sum(bin_means * bin_means) / k)
+    return float(alpha[0] * alpha[1] * math.fsum(bin_means * bin_means) / k)

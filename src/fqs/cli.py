@@ -34,7 +34,6 @@ from .central import GroupedSample, h_hat, u_hat
 from .datasets import DatasetSpec, IngestedData, load_dataset, resolve_data_path
 from .distances import cramer_p_step, wasserstein_p_grid
 from .errors import AuditError, ValidationError, exit_code_for
-from .numerics import neumaier_sum
 from .protocol import client_summarize, report_to_dict, server_audit
 from .scenario import (
     allocate_copula,
@@ -44,7 +43,7 @@ from .scenario import (
     sample_beta,
 )
 from .serialize import format_float, to_canonical_json, write_csv
-from .sketch import GridSpec, build_sketch, sketch_to_step_cdf
+from .sketch import GridSpec, sketch_to_step_cdf
 from .sweep import (
     K95_HEADER,
     REPLICATION_HEADER,
@@ -57,6 +56,8 @@ from .wire import decode_message, encode_message, message_to_json
 SYNTHETIC_DEFAULT = "2,5,5,2"
 
 
+# Output is written to sys.stdout / sys.stderr directly: click.echo caches a wrapper per
+# stream that keeps every redirected buffer of an in-process call alive.
 def guarded(fn):
     """Map package errors to the documented exit codes."""
 
@@ -65,7 +66,7 @@ def guarded(fn):
         try:
             return fn(*args, **kwargs)
         except AuditError as exc:
-            click.echo(f"error [{exc.code}]: {exc.message}", err=True)
+            sys.stderr.write(f"error [{exc.code}]: {exc.message}\n")
             sys.exit(exit_code_for(exc))
 
     return wrapper
@@ -135,7 +136,7 @@ def _load_input(data, score_col, group_col, groups_csv, jitter, seed,
 
 def _emit(obj: dict, out: Optional[str], fmt: str, stem: str) -> None:
     text = to_canonical_json(obj)
-    click.echo(text)
+    sys.stdout.write(text + "\n")
     if out:
         os.makedirs(out, exist_ok=True)
         if fmt == "json":
@@ -298,7 +299,11 @@ def federate(messages, p, out, fmt):
     decoded = []
     for path in paths:
         with open(resolve_data_path(path), "rb") as fh:
-            decoded.append(decode_message(fh.read()))
+            data = fh.read()
+        try:
+            decoded.append(decode_message(data))
+        except AuditError as exc:
+            raise type(exc)(exc.code, f"{path}: {exc.message}") from None
     report = server_audit(decoded, int(p))
     _emit(report_to_dict(report), out, fmt, "report")
 

@@ -12,7 +12,7 @@ from __future__ import annotations
 import csv
 import os
 from dataclasses import dataclass
-from typing import List, Optional, Tuple
+from typing import List, Tuple
 
 import numpy as np
 

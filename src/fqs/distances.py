@@ -14,14 +14,14 @@ weighted median for p = 1.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
-from typing import Sequence
+from typing import Sequence, Tuple
 
 import numpy as np
 
 from .errors import ValidationError
-from .numerics import neumaier_sum
-from .sketch import GridSpec, QuantileSketch, StepCdf, _check_weights
+from .sketch import GridSpec, QuantileSketch, StepCdf, mix_step_cdfs
 
 __all__ = [
     "QuantileArray",
@@ -29,9 +29,25 @@ __all__ = [
     "cramer_p_step",
     "barycenter_quantiles",
     "weighted_median",
+    "transport_disparity",
+    "cdf_disparity",
 ]
 
 _MEDIAN_SLACK = 1e-12
+
+
+def _check_weights(weights, nparts: int) -> np.ndarray:
+    w = np.asarray(weights, dtype=np.float64)
+    if w.ndim != 1 or w.size != nparts:
+        raise ValidationError("weights-not-normalized", "need one weight per part")
+    if not np.all(np.isfinite(w)):
+        raise ValidationError("weights-not-normalized", "weights must be finite")
+    if np.any(w < 0):
+        raise ValidationError("negative-weight", "weights must be nonnegative")
+    total = float(np.sum(w))
+    if abs(total - 1.0) > 1e-9:
+        raise ValidationError("weights-not-normalized", f"weights sum to {total!r}, expected 1")
+    return w
 
 
 def _check_p(p) -> int:
@@ -88,7 +104,7 @@ def wasserstein_p_grid(a, b, p) -> float:
     p = _check_p(p)
     va, vb = _aligned_values(a, b)
     gaps = np.abs(va - vb)
-    total = neumaier_sum(gaps if p == 1 else gaps * gaps)
+    total = math.fsum(gaps if p == 1 else gaps * gaps)
     return float((total / va.size) ** (1.0 / p))
 
 
@@ -100,7 +116,7 @@ def cramer_integral(f: StepCdf, g: StepCdf, p) -> float:
         return 0.0
     widths = np.diff(cuts)
     gaps = np.abs(f.cdf_at(cuts[:-1]) - g.cdf_at(cuts[:-1]))
-    return float(neumaier_sum(widths * (gaps if p == 1 else gaps * gaps)))
+    return math.fsum(widths * (gaps if p == 1 else gaps * gaps))
 
 
 def cramer_p_step(f: StepCdf, g: StepCdf, p) -> float:
@@ -147,7 +163,7 @@ def barycenter_quantiles(arrays: Sequence, weights, p) -> np.ndarray:
 def _columnwise_weighted_median(rows: np.ndarray, w: np.ndarray) -> np.ndarray:
     """Lower weighted median down each column (smallest value whose
     cumulative normalized weight reaches 1/2)."""
-    total = neumaier_sum(w)
+    total = math.fsum(w)
     if total <= 0:
         raise ValidationError("weights-not-normalized", "weights must not all be zero")
     order = np.argsort(rows, axis=0, kind="stable")
@@ -163,24 +179,42 @@ def power_dispersion(rows: np.ndarray, weights, center: np.ndarray, p) -> float:
     """Weighted mean over rows of the level-mean p-th power gap to a center.
 
     This is the common accumulation behind the population disparity
-    functionals: ``sum_s w_s * mean_l |rows[s, l] - center[l]|^p``.  Sums
-    run in row order with compensated accumulation, so the result does not
-    depend on threading or chunking.
+    functionals: ``sum_s w_s * mean_l |rows[s, l] - center[l]|^p``.  The
+    center is one row shared by all rows or one row per row.  Every sum
+    is correctly rounded (``math.fsum``), so the result does not depend on
+    threading or chunking.
     """
     p = _check_p(p)
     rows = np.asarray(rows, dtype=np.float64)
     center = np.asarray(center, dtype=np.float64)
-    if rows.ndim != 2 or center.shape != (rows.shape[1],):
+    if rows.ndim != 2 or center.shape not in ((rows.shape[1],), rows.shape):
         raise ValidationError("grid-mismatch", "rows and center must share one grid")
     w = np.asarray(weights, dtype=np.float64)
     if w.shape != (rows.shape[0],):
         raise ValidationError("weights-not-normalized", "need one weight per row")
     k = rows.shape[1]
-    per_row = np.empty(rows.shape[0], dtype=np.float64)
-    for i in range(rows.shape[0]):
-        gaps = np.abs(rows[i] - center)
-        per_row[i] = w[i] * (neumaier_sum(gaps if p == 1 else gaps * gaps) / k)
-    return float(neumaier_sum(per_row))
+    gaps = np.abs(rows - center)
+    if p == 2:
+        gaps = gaps * gaps
+    return math.fsum(w[i] * (math.fsum(gaps[i]) / k) for i in range(rows.shape[0]))
+
+
+def transport_disparity(rows: np.ndarray, weights, p) -> Tuple[np.ndarray, float]:
+    """Level-wise barycenter of the group quantile rows and the weighted
+    p-th power dispersion about it (the transport disparity)."""
+    center = barycenter_quantiles(rows, weights, p)
+    return center, power_dispersion(rows, weights, center, p)
+
+
+def cdf_disparity(cdfs: Sequence[StepCdf], weights, p) -> float:
+    """Weighted mean of the order-p CDF integrals between each group's
+    step distribution and the pooled mixture (the CDF disparity).
+
+    The pooled law mixes the parts by their total weights, so ``weights``
+    must be those totals' shares.
+    """
+    pooled = mix_step_cdfs(cdfs)
+    return math.fsum(w * cramer_integral(f, pooled, p) for w, f in zip(weights, cdfs))
 
 
 def weighted_median(values, weights) -> float:

@@ -15,23 +15,16 @@ difference and sum bracket ``g_hat``.
 
 from __future__ import annotations
 
+import math
+from collections import Counter
 from dataclasses import dataclass
 from typing import Dict, List, Mapping, Optional, Sequence, Tuple
 
 import numpy as np
 
-from .distances import barycenter_quantiles, cramer_integral, power_dispersion
+from .distances import barycenter_quantiles, cdf_disparity, power_dispersion, transport_disparity
 from .errors import ValidationError
-from .numerics import neumaier_sum
-from .sketch import (
-    GridSpec,
-    QuantileSketch,
-    StepCdf,
-    build_sketch,
-    mix_step_cdfs,
-    mixture_quantiles_on_grid,
-    sketch_to_step_cdf,
-)
+from .sketch import GridSpec, QuantileSketch, build_sketch, mix_step_cdfs, sketch_to_step_cdf
 
 __all__ = [
     "SiloMessage",
@@ -63,8 +56,6 @@ class SiloMessage:
                 raise ValidationError("invalid-sketch", "group labels must be nonempty strings")
             if sk.grid != self.grid:
                 raise ValidationError("grid-mismatch", f"entry {label!r} disagrees with the message grid")
-            if sk.count < 1:
-                raise ValidationError("invalid-sketch", f"entry {label!r} has count {sk.count}")
             clean[str(label)] = sk
         object.__setattr__(self, "entries", clean)
 
@@ -132,9 +123,9 @@ def _collect(messages: Sequence[SiloMessage]) -> Tuple[GridSpec, List[SiloMessag
     if not messages:
         raise ValidationError("no-messages", "need at least one silo message")
     ordered = sorted(messages, key=lambda m: m.silo_id)
-    ids = [m.silo_id for m in ordered]
-    if len(set(ids)) != len(ids):
-        raise ValidationError("duplicate-silo", "silo ids must be unique")
+    repeated = sorted(sid for sid, n in Counter(m.silo_id for m in ordered).items() if n > 1)
+    if repeated:
+        raise ValidationError("duplicate-silo", f"silo ids must be unique; repeated: {', '.join(repeated)}")
     grid = ordered[0].grid
     for m in ordered[1:]:
         if m.grid != grid:
@@ -158,9 +149,6 @@ def server_audit(messages: Sequence[SiloMessage], p) -> AuditReport:
         for label, sk in m.entries.items():
             counts[label][m.silo_id] = sk.count
     group_totals = {s: sum(counts[s].values()) for s in labels}
-    for s in labels:
-        if group_totals[s] <= 0:
-            raise ValidationError("unknown-group-weights", f"group {s!r} has zero total count")
     n_total = sum(group_totals.values())
     alpha = {s: group_totals[s] / n_total for s in labels}
     pi = {s: {j: counts[s][j] / group_totals[s] for j in sorted(counts[s])} for s in labels}
@@ -169,47 +157,32 @@ def server_audit(messages: Sequence[SiloMessage], p) -> AuditReport:
 
     by_id = {m.silo_id: m for m in ordered}
     alpha_vec = np.array([alpha[s] for s in labels])
+    levels = grid.levels()
     mixture_rows = np.empty((len(labels), k), dtype=np.float64)
-    group_cdfs: List[StepCdf] = []
-    silo_rows: Dict[str, np.ndarray] = {}
-    pi_vecs: Dict[str, np.ndarray] = {}
+    within_center = np.empty((len(labels), k), dtype=np.float64)
+    group_cdfs = []
     for i, s in enumerate(labels):
         silos = sorted(counts[s])
         sketches = [by_id[j].entries[s] for j in silos]
-        weights = np.array([pi[s][j] for j in silos])
-        mixture_rows[i] = mixture_quantiles_on_grid(sketches, weights, grid)
-        group_cdfs.append(mix_step_cdfs([sketch_to_step_cdf(sk) for sk in sketches], weights))
-        silo_rows[s] = np.vstack([sk.values for sk in sketches])
-        pi_vecs[s] = weights
+        mixed = mix_step_cdfs([sketch_to_step_cdf(sk) for sk in sketches])
+        group_cdfs.append(mixed)
+        mixture_rows[i] = mixed.quantiles(levels)
+        within_center[i] = barycenter_quantiles(
+            np.vstack([sk.values for sk in sketches]), [pi[s][j] for j in silos], p
+        )
 
-    center = barycenter_quantiles(mixture_rows, alpha_vec, p)
-    g_hat = power_dispersion(mixture_rows, alpha_vec, center, p)
-
-    pooled = mix_step_cdfs(group_cdfs, alpha_vec)
-    h_terms = [alpha_vec[i] * cramer_integral(group_cdfs[i], pooled, p) for i in range(len(labels))]
-    h_hat = float(neumaier_sum(h_terms))
+    center, g_hat = transport_disparity(mixture_rows, alpha_vec, p)
+    h_hat = cdf_disparity(group_cdfs, alpha_vec, p)
 
     v_mix = v_bar = r = v1_mix = v1_bar = None
-    within_center = np.vstack(
-        [barycenter_quantiles(silo_rows[s], pi_vecs[s], p) for s in labels]
-    )
-    mix_terms = np.empty(len(labels))
-    cross_terms = np.empty(len(labels))
-    for i in range(len(labels)):
-        a = mixture_rows[i] - within_center[i]
-        if p == 2:
-            mix_terms[i] = alpha_vec[i] * (neumaier_sum(a * a) / k)
-            b = within_center[i] - center
-            cross_terms[i] = alpha_vec[i] * (neumaier_sum(a * b) / k)
-        else:
-            mix_terms[i] = alpha_vec[i] * (neumaier_sum(np.abs(a)) / k)
+    mix_part = power_dispersion(mixture_rows, alpha_vec, within_center, p)
+    bar_part = power_dispersion(within_center, alpha_vec, center, p)
     if p == 2:
-        v_mix = float(neumaier_sum(mix_terms))
-        v_bar = power_dispersion(within_center, alpha_vec, center, 2)
-        r = 2.0 * float(neumaier_sum(cross_terms))
+        v_mix, v_bar = mix_part, bar_part
+        cross = (mixture_rows - within_center) * (within_center - center)
+        r = 2.0 * math.fsum(alpha_vec[i] * (math.fsum(cross[i]) / k) for i in range(len(labels)))
     else:
-        v1_mix = float(neumaier_sum(mix_terms))
-        v1_bar = power_dispersion(within_center, alpha_vec, center, 1)
+        v1_mix, v1_bar = mix_part, bar_part
 
     degenerate = [
         [m.silo_id, label] for m in ordered for label, sk in m.entries.items() if sk.count == 1

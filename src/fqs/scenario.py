@@ -20,7 +20,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Dict, Optional, Sequence
+from typing import Dict
 
 import numpy as np
 from scipy.special import ndtr, ndtri
@@ -165,16 +165,13 @@ def allocate_copula(scores, group_labels, margins, rho: float, regime: str, seed
 
 
 def _average_ranks(x: np.ndarray) -> np.ndarray:
+    """Ranks 1..n with each tie block sharing its midrank (start + 1 + stop) / 2."""
     order = np.argsort(x, kind="stable")
-    ranks = np.empty(x.size, dtype=np.float64)
-    ranks[order] = np.arange(1, x.size + 1, dtype=np.float64)
-    # average the ranks inside each tie block
     sorted_x = x[order]
-    uniq, start = np.unique(sorted_x, return_index=True)
+    start = np.flatnonzero(np.concatenate(([True], sorted_x[1:] != sorted_x[:-1])))
     stop = np.append(start[1:], x.size)
-    for a, b in zip(start, stop):
-        if b - a > 1:
-            ranks[order[a:b]] = 0.5 * (a + 1 + b)
+    ranks = np.empty(x.size, dtype=np.float64)
+    ranks[order] = np.repeat(0.5 * (start + 1 + stop), stop - start)
     return ranks
 
 

@@ -12,21 +12,38 @@ Conventions, fixed once and used everywhere:
   ``l = 1..k``; ``eps = 0`` gives the plain midpoint grid;
 * the empirical quantile at level u of a sorted sample ``x_1 <= ... <= x_n``
   is ``x_ceil(u*n)`` (lower quantile, left-continuous in u);
+* a step distribution carries positive count weights, and its cumulative
+  mass at a knot is the running weight divided by the total weight;
 * the generalized inverse of a step CDF at level u is the smallest knot
   whose cumulative mass reaches u, with cumulative-mass comparisons
-  slackened by ``CUM_MASS_SLACK`` to absorb float accumulation error.
+  slackened by ``CUM_MASS_SLACK``.
+
+A sketch value weighs its tie count times the sketch's sample count, so
+every weight, running weight and total is an integer held in a float64.
+Such sums are exact while the total stays below 2**53 (k * N < 2**53 for
+N pooled samples), and each cumulative mass is then one correctly rounded
+division.  Mixing needs no weight argument: concatenating the parts of
+one group gives its count-weighted (pi) mixture, and concatenating the
+group mixtures gives the count-weighted (alpha) pooled law.
+
+``CUM_MASS_SLACK`` is the one tolerance.  On an untrimmed grid a mixture
+quantile equals the exact integer rule (the smallest knot x with
+``2 * W(x) >= (2l - 1) * N_s``, W the running weight over k) whenever
+k * N_s < 1e12: distinct candidate masses then differ from a level by at
+least 1/(2 k N_s), more than the slack.  The slack stays strictly below
+the 1e-12 step of the left-continuity contract
+(``invert_step_cdf(cdf, c + 1e-12)`` lands on the next knot).
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from typing import Sequence, Union
+from typing import Sequence
 
 import numpy as np
 
 from .errors import ValidationError
-from .numerics import CUM_MASS_SLACK, neumaier_cumsum
 
 __all__ = [
     "GridSpec",
@@ -37,8 +54,9 @@ __all__ = [
     "sketch_to_step_cdf",
     "mix_step_cdfs",
     "invert_step_cdf",
-    "mixture_quantiles_on_grid",
 ]
+
+CUM_MASS_SLACK = 5e-13
 
 # Relative snap tolerance when deciding whether u*n already sits on an
 # integer; absorbs the rounding of grid levels times sample sizes.
@@ -96,8 +114,8 @@ class QuantileSketch:
             )
         if vals.size > 1 and np.any(np.diff(vals) < 0):
             raise ValidationError("invalid-sketch", "sketch values must be nondecreasing")
-        if not isinstance(self.count, (int, np.integer)) or self.count < 0:
-            raise ValidationError("invalid-sketch", f"count must be a nonnegative integer, got {self.count!r}")
+        if not isinstance(self.count, (int, np.integer)) or self.count < 1:
+            raise ValidationError("invalid-sketch", f"count must be a positive integer, got {self.count!r}")
         vals = vals.copy()
         vals.setflags(write=False)
         object.__setattr__(self, "values", vals)
@@ -106,34 +124,32 @@ class QuantileSketch:
 
 @dataclass(frozen=True, eq=False)
 class StepCdf:
-    """Discrete distribution: strictly increasing knots with positive
-    masses summing to one (within 1e-12)."""
+    """Discrete distribution: strictly increasing knots carrying positive
+    weights; a knot's mass is its weight over the total weight."""
 
     knots: np.ndarray
-    masses: np.ndarray
+    weights: np.ndarray
     _cum: np.ndarray = field(init=False, repr=False)
 
     def __post_init__(self):
         knots = _as_float_array(self.knots, "invalid-step-cdf", "knots")
-        masses = _as_float_array(self.masses, "invalid-step-cdf", "masses")
+        weights = _as_float_array(self.weights, "invalid-step-cdf", "weights")
         if knots.size == 0:
             raise ValidationError("invalid-step-cdf", "need at least one knot")
-        if knots.size != masses.size:
-            raise ValidationError("invalid-step-cdf", "knots and masses must have equal length")
+        if knots.size != weights.size:
+            raise ValidationError("invalid-step-cdf", "knots and weights must have equal length")
         if knots.size > 1 and np.any(np.diff(knots) <= 0):
             raise ValidationError("invalid-step-cdf", "knots must be strictly increasing")
-        if np.any(masses <= 0):
-            raise ValidationError("invalid-step-cdf", "masses must be positive")
-        cum = neumaier_cumsum(masses)
-        if abs(cum[-1] - 1.0) > 1e-12:
-            raise ValidationError("invalid-step-cdf", f"masses sum to {cum[-1]!r}, expected 1")
+        if np.any(weights <= 0):
+            raise ValidationError("invalid-step-cdf", "weights must be positive")
+        running = np.cumsum(weights)
+        cum = running / running[-1]
         knots = knots.copy()
-        masses = masses.copy()
-        knots.setflags(write=False)
-        masses.setflags(write=False)
-        cum.setflags(write=False)
+        weights = weights.copy()
+        for arr in (knots, weights, cum):
+            arr.setflags(write=False)
         object.__setattr__(self, "knots", knots)
-        object.__setattr__(self, "masses", masses)
+        object.__setattr__(self, "weights", weights)
         object.__setattr__(self, "_cum", cum)
 
     def cdf_at(self, x) -> np.ndarray:
@@ -141,6 +157,13 @@ class StepCdf:
         idx = np.searchsorted(self.knots, np.asarray(x, dtype=np.float64), side="right")
         cum = np.concatenate(([0.0], self._cum))
         return cum[idx]
+
+    def quantiles(self, levels) -> np.ndarray:
+        """Generalized inverse at each level: the smallest knot whose
+        cumulative mass reaches it, within ``CUM_MASS_SLACK``."""
+        levels = np.asarray(levels, dtype=np.float64)
+        idx = np.searchsorted(self._cum, levels - CUM_MASS_SLACK, side="left")
+        return self.knots[np.minimum(idx, self.knots.size - 1)]
 
 
 def empirical_quantile(samples: np.ndarray, u: float) -> float:
@@ -181,53 +204,28 @@ def build_sketch(samples, grid: GridSpec) -> QuantileSketch:
 
 
 def sketch_to_step_cdf(sk: QuantileSketch) -> StepCdf:
-    """Distribution placing mass 1/k on every sketch value (ties merge)."""
-    uniq, counts = np.unique(sk.values, return_counts=True)
-    # cumulative counts / k is exact per element; masses are the diffs
-    cum_counts = np.cumsum(counts)
-    cum = cum_counts.astype(np.float64) / sk.grid.k
-    masses = np.diff(np.concatenate(([0.0], cum)))
-    return StepCdf(knots=uniq, masses=masses)
+    """Distribution of the sketch values, each weighing the sample count
+    (ties merge), so its cumulative masses are exactly rounded c / k."""
+    uniq, ties = np.unique(sk.values, return_counts=True)
+    return StepCdf(knots=uniq, weights=ties.astype(np.float64) * sk.count)
 
 
-def _check_weights(weights, nparts: int) -> np.ndarray:
-    w = np.asarray(weights, dtype=np.float64)
-    if w.ndim != 1 or w.size != nparts:
-        raise ValidationError("weights-not-normalized", "need one weight per part")
-    if not np.all(np.isfinite(w)):
-        raise ValidationError("weights-not-normalized", "weights must be finite")
-    if np.any(w < 0):
-        raise ValidationError("negative-weight", "weights must be nonnegative")
-    total = float(np.sum(w))
-    if abs(total - 1.0) > 1e-9:
-        raise ValidationError("weights-not-normalized", f"weights sum to {total!r}, expected 1")
-    return w
+def mix_step_cdfs(parts: Sequence[StepCdf]) -> StepCdf:
+    """Mixture of step distributions in proportion to their total weights.
 
-
-def mix_step_cdfs(parts: Sequence[StepCdf], weights) -> StepCdf:
-    """Weighted mixture of step distributions.
-
-    Zero-weight parts are dropped; coinciding knots merge by adding mass;
-    masses are renormalized by their compensated total so the result
-    satisfies the StepCdf contract exactly.
+    The parts' knots are stable-sorted together and coinciding knots merge
+    by adding weights; a single part comes back unchanged.
     """
     if len(parts) == 0:
-        raise ValidationError("weights-not-normalized", "need at least one part")
-    w = _check_weights(weights, len(parts))
-    keep = [(p, float(wi)) for p, wi in zip(parts, w) if wi > 0.0]
-    if not keep:
-        raise ValidationError("weights-not-normalized", "all weights are zero")
-    if len(keep) == 1 and keep[0][1] == 1.0:
-        return keep[0][0]
-    knots = np.concatenate([p.knots for p, _ in keep])
-    masses = np.concatenate([p.masses * wi for p, wi in keep])
+        raise ValidationError("invalid-step-cdf", "need at least one part")
+    if len(parts) == 1:
+        return parts[0]
+    knots = np.concatenate([p.knots for p in parts])
     order = np.argsort(knots, kind="stable")
     knots = knots[order]
-    masses = masses[order]
-    uniq, start = np.unique(knots, return_index=True)
-    merged = np.add.reduceat(masses, start)
-    total = neumaier_cumsum(merged)[-1]
-    return StepCdf(knots=uniq, masses=merged / total)
+    weights = np.concatenate([p.weights for p in parts])[order]
+    start = np.flatnonzero(np.concatenate(([True], knots[1:] != knots[:-1])))
+    return StepCdf(knots=knots[start], weights=np.add.reduceat(weights, start))
 
 
 def invert_step_cdf(cdf: StepCdf, u: float) -> float:
@@ -240,24 +238,4 @@ def invert_step_cdf(cdf: StepCdf, u: float) -> float:
     """
     if not (isinstance(u, (int, float, np.floating)) and math.isfinite(u)) or not 0.0 < u < 1.0:
         raise ValidationError("level-out-of-range", f"u must lie in (0, 1), got {u!r}")
-    return float(cdf.knots[_invert_many(cdf, np.asarray([float(u)]))[0]])
-
-
-def _invert_many(cdf: StepCdf, levels: np.ndarray) -> np.ndarray:
-    idx = np.searchsorted(cdf._cum, levels - CUM_MASS_SLACK, side="left")
-    return np.minimum(idx, cdf.knots.size - 1)
-
-
-Part = Union[StepCdf, QuantileSketch]
-
-
-def mixture_quantiles_on_grid(parts: Sequence[Part], weights, grid: GridSpec) -> np.ndarray:
-    """Quantiles of a weighted mixture, read at the grid levels.
-
-    Parts may be sketches (converted to their step distributions) or step
-    CDFs.  With a single unit-weight sketch on the same grid this is the
-    identity: the sketch values come back unchanged.
-    """
-    cdfs = [sketch_to_step_cdf(p) if isinstance(p, QuantileSketch) else p for p in parts]
-    mixed = mix_step_cdfs(cdfs, weights)
-    return mixed.knots[_invert_many(mixed, grid.levels())]
+    return float(cdf.quantiles([float(u)])[0])

@@ -13,11 +13,11 @@ from __future__ import annotations
 
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Dict, List, Tuple
 
 import numpy as np
 
-from .central import GroupedSample, u_hat
+from .central import u_hat
 from .datasets import IngestedData
 from .errors import ValidationError
 from .protocol import server_audit, client_summarize

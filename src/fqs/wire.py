@@ -113,12 +113,8 @@ def _assemble(silo_id: str, k: int, trim_epsilon: float, raw_entries) -> SiloMes
         grid = GridSpec(k=int(k), trim_epsilon=float(trim_epsilon))
         entries: Dict[str, QuantileSketch] = {}
         for label, count, values in raw_entries:
-            if count < 1:
-                raise ValidationError("invalid-sketch", f"entry {label!r} has count {count}")
             entries[label] = QuantileSketch(grid=grid, values=values, count=int(count))
         return SiloMessage(silo_id=silo_id, grid=grid, entries=entries)
-    except MalformedInputError:
-        raise
     except ValidationError as exc:
         raise MalformedInputError("invalid-sketch", exc.message) from None
 

@@ -71,11 +71,8 @@ def step_cdfs(draw, max_knots=8):
     weights = draw(
         st.lists(st.integers(min_value=1, max_value=20), min_size=m, max_size=m)
     )
-    total = sum(weights)
-    masses = np.asarray(weights, dtype=np.float64) / total
-    # renormalize through the package's own compensated sum so the contract holds
-    masses = masses / fqs.neumaier_cumsum(masses)[-1]
-    return fqs.StepCdf(knots=np.sort(np.asarray(knots, dtype=np.float64)), masses=masses)
+    return fqs.StepCdf(knots=np.sort(np.asarray(knots, dtype=np.float64)),
+                       weights=np.asarray(weights, dtype=np.float64))
 
 
 def find_compas_csv():

@@ -1,8 +1,13 @@
 """End-to-end command-line checks through the click test runner."""
 
+import contextlib
 import csv
+import gc
+import io
 import json
 import os
+import shutil
+import weakref
 
 import numpy as np
 import pytest
@@ -199,6 +204,31 @@ def test_federate_rejects_corrupted_file(runner, tmp_path):
     result = runner.invoke(main, ["federate", str(bad)])
     assert result.exit_code == 3
     assert "error [malformed-message]" in result.output
+    assert "bad.fqs" in result.output
+
+
+def test_federate_names_repeated_silo(runner, tmp_path):
+    out = tmp_path / "msgs"
+    invoke_ok(runner, ["sketch", "--synthetic", "--n", "600", "--d", "2", "--out", str(out)])
+    shutil.copy(out / "silo1.fqs", out / "silo1-copy.fqs")
+    result = runner.invoke(main, ["federate", str(out)])
+    assert result.exit_code == 2
+    assert "error [duplicate-silo]" in result.output
+    assert "repeated: silo1\n" in result.output
+
+
+def test_in_process_calls_release_captured_output():
+    # each call's redirected stdout must be freed once the call returns
+    refs = []
+    for _ in range(3):
+        buf = io.StringIO()
+        with contextlib.redirect_stdout(buf):
+            main.main(["bounds", "--n", "1000", "--n-min", "50", "--d", "2"], standalone_mode=False)
+        assert buf.getvalue().startswith("{")
+        refs.append(weakref.ref(buf))
+        del buf
+    gc.collect()
+    assert [r() for r in refs] == [None, None, None]
 
 
 def test_federate_p1(runner, tmp_path):

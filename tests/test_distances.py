@@ -56,13 +56,13 @@ def test_w2_hand_instance():
 
 
 def test_cramer_hand_instances():
-    f = StepCdf(knots=np.array([0.0]), masses=np.array([1.0]))
-    g = StepCdf(knots=np.array([1.0]), masses=np.array([1.0]))
+    f = StepCdf(knots=np.array([0.0]), weights=np.array([1.0]))
+    g = StepCdf(knots=np.array([1.0]), weights=np.array([1.0]))
     # |F - G| = 1 on [0, 1)
     assert cramer_integral(f, g, 2) == 1.0
     assert cramer_integral(f, g, 1) == 1.0
 
-    h = StepCdf(knots=np.array([0.0, 2.0]), masses=np.array([0.5, 0.5]))
+    h = StepCdf(knots=np.array([0.0, 2.0]), weights=np.array([1.0, 1.0]))
     # |H - G| = 0.5 on [0,1) and 0.5 on [1,2)
     assert cramer_integral(h, g, 2) == pytest.approx(0.5, abs=1e-15)
     assert cramer_integral(h, g, 1) == pytest.approx(1.0, abs=1e-15)
@@ -70,7 +70,7 @@ def test_cramer_hand_instances():
 
 
 def test_cramer_identical_inputs_vanish():
-    h = StepCdf(knots=np.array([-1.0, 2.0]), masses=np.array([0.25, 0.75]))
+    h = StepCdf(knots=np.array([-1.0, 2.0]), weights=np.array([1.0, 3.0]))
     assert cramer_integral(h, h, 1) == 0.0
     assert cramer_integral(h, h, 2) == 0.0
 
@@ -99,8 +99,8 @@ def test_scale_equivariance():
     fa = sketch_to_step_cdf(fqs.QuantileSketch(grid=grid, values=a, count=8))
     fb = sketch_to_step_cdf(fqs.QuantileSketch(grid=grid, values=b, count=8))
     c = 3.5
-    fa_scaled = StepCdf(knots=c * fa.knots, masses=fa.masses)
-    fb_scaled = StepCdf(knots=c * fb.knots, masses=fb.masses)
+    fa_scaled = StepCdf(knots=c * fa.knots, weights=fa.weights)
+    fb_scaled = StepCdf(knots=c * fb.knots, weights=fb.weights)
     for p in (1, 2):
         assert wasserstein_p_grid(c * a, c * b, p) == pytest.approx(
             c * wasserstein_p_grid(a, b, p), rel=1e-12

@@ -297,3 +297,16 @@ def test_normal_quantile_domain():
         with pytest.raises(ValidationError) as e:
             normal_quantile(u)
         assert e.value.code == "level-out-of-range"
+
+
+def test_average_ranks_match_scipy_midranks():
+    from scipy.stats import rankdata
+
+    gen = rng(17)
+    for x in (
+        gen.integers(0, 5, size=400).astype(np.float64),
+        np.round(gen.normal(size=300), 1),
+        np.array([2.0, 2.0, 2.0]),
+        np.array([1.0]),
+    ):
+        assert np.array_equal(fqs.scenario._average_ranks(x), rankdata(x, method="average"))

@@ -15,8 +15,6 @@ from fqs import (
     empirical_quantile,
     invert_step_cdf,
     mix_step_cdfs,
-    mixture_quantiles_on_grid,
-    neumaier_cumsum,
     sketch_to_step_cdf,
 )
 
@@ -128,6 +126,10 @@ def test_sketch_validation():
         QuantileSketch(grid=grid, values=np.array([1.0, 2.0, np.inf]), count=3)
     with pytest.raises(ValidationError):
         QuantileSketch(grid=grid, values=np.array([1.0, 2.0, 3.0]), count=-1)
+    # a zero count would give every value zero weight
+    with pytest.raises(ValidationError) as e:
+        QuantileSketch(grid=grid, values=np.array([1.0, 2.0, 3.0]), count=0)
+    assert e.value.code == "invalid-sketch"
 
 
 def test_sketch_values_are_frozen():
@@ -142,11 +144,13 @@ def test_sketch_to_step_cdf_merges_ties():
     sk = QuantileSketch(grid=GridSpec(k=3), values=np.array([1.0, 1.0, 2.0]), count=9)
     cdf = sketch_to_step_cdf(sk)
     assert np.array_equal(cdf.knots, [1.0, 2.0])
-    assert np.allclose(cdf.masses, [2 / 3, 1 / 3], rtol=0, atol=1e-16)
+    # each value weighs its tie count times the sample count
+    assert np.array_equal(cdf.weights, [18.0, 9.0])
+    assert np.array_equal(cdf.cdf_at(cdf.knots), [2 / 3, 1.0])
 
 
 def test_step_cdf_right_continuity():
-    cdf = StepCdf(knots=np.array([1.0, 2.0]), masses=np.array([2 / 3, 1 / 3]))
+    cdf = StepCdf(knots=np.array([1.0, 2.0]), weights=np.array([2.0, 1.0]))
     assert cdf.cdf_at(0.999999) == 0.0
     assert cdf.cdf_at(1.0) == pytest.approx(2 / 3, abs=1e-15)
     assert cdf.cdf_at(1.5) == pytest.approx(2 / 3, abs=1e-15)
@@ -156,14 +160,16 @@ def test_step_cdf_right_continuity():
 
 def test_step_cdf_validation():
     with pytest.raises(ValidationError) as e:
-        StepCdf(knots=np.array([1.0, 1.0]), masses=np.array([0.5, 0.5]))
+        StepCdf(knots=np.array([1.0, 1.0]), weights=np.array([1.0, 1.0]))
     assert e.value.code == "invalid-step-cdf"
     with pytest.raises(ValidationError):
-        StepCdf(knots=np.array([1.0, 2.0]), masses=np.array([0.5, 0.4]))
+        StepCdf(knots=np.array([1.0, 2.0]), weights=np.array([1.0, 0.0]))
     with pytest.raises(ValidationError):
-        StepCdf(knots=np.array([1.0, 2.0]), masses=np.array([1.1, -0.1]))
+        StepCdf(knots=np.array([1.0, 2.0]), weights=np.array([1.1, -0.1]))
     with pytest.raises(ValidationError):
-        StepCdf(knots=np.array([]), masses=np.array([]))
+        StepCdf(knots=np.array([1.0, 2.0]), weights=np.array([1.0]))
+    with pytest.raises(ValidationError):
+        StepCdf(knots=np.array([]), weights=np.array([]))
 
 
 def test_step_cdf_uniform_approximation_error():
@@ -199,55 +205,52 @@ def test_knot_perturbation_bound():
 # -------------------------------------------------------------- mixing
 
 def test_mix_two_step_cdfs_manual_oracle():
-    a = StepCdf(knots=np.array([0.0]), masses=np.array([1.0]))
-    b = StepCdf(knots=np.array([0.0, 1.0]), masses=np.array([0.5, 0.5]))
-    mixed = mix_step_cdfs([a, b], [0.25, 0.75])
+    # totals 2 and 6: the mixture is 0.25 * a + 0.75 * b
+    a = StepCdf(knots=np.array([0.0]), weights=np.array([2.0]))
+    b = StepCdf(knots=np.array([0.0, 1.0]), weights=np.array([3.0, 3.0]))
+    mixed = mix_step_cdfs([a, b])
     assert np.array_equal(mixed.knots, [0.0, 1.0])
-    assert np.allclose(mixed.masses, [0.625, 0.375], rtol=0, atol=1e-15)
+    assert np.array_equal(mixed.weights, [5.0, 3.0])
+    assert np.array_equal(mixed.cdf_at(mixed.knots), [0.625, 1.0])
 
 
 def test_mix_single_unit_weight_is_identity_object():
-    a = StepCdf(knots=np.array([3.0, 4.0]), masses=np.array([0.5, 0.5]))
-    assert mix_step_cdfs([a], [1.0]) is a
-    # zero-weight parts are dropped before the shortcut applies
-    b = StepCdf(knots=np.array([9.0]), masses=np.array([1.0]))
-    assert mix_step_cdfs([b, a], [0.0, 1.0]) is a
+    a = StepCdf(knots=np.array([3.0, 4.0]), weights=np.array([1.0, 1.0]))
+    assert mix_step_cdfs([a]) is a
 
 
 def test_mix_weight_validation():
-    a = StepCdf(knots=np.array([0.0]), masses=np.array([1.0]))
     with pytest.raises(ValidationError) as e:
-        mix_step_cdfs([a, a], [0.7, 0.7])
-    assert e.value.code == "weights-not-normalized"
-    with pytest.raises(ValidationError) as e:
-        mix_step_cdfs([a, a], [1.5, -0.5])
-    assert e.value.code == "negative-weight"
-    with pytest.raises(ValidationError):
-        mix_step_cdfs([], [])
+        mix_step_cdfs([])
+    assert e.value.code == "invalid-step-cdf"
+    # count weights of coinciding knots add exactly
+    a = StepCdf(knots=np.array([0.0, 1.0]), weights=np.array([3.0, 2.0**52]))
+    b = StepCdf(knots=np.array([1.0]), weights=np.array([1.0]))
+    assert np.array_equal(mix_step_cdfs([a, b]).weights, [3.0, 2.0**52 + 1.0])
 
 
 @given(step_cdfs(), step_cdfs(), step_cdfs())
 def test_mix_is_permutation_invariant(a, b, c):
-    w = np.array([0.2, 0.3, 0.5])
-    m1 = mix_step_cdfs([a, b, c], w)
-    m2 = mix_step_cdfs([c, a, b], [0.5, 0.2, 0.3])
+    m1 = mix_step_cdfs([a, b, c])
+    m2 = mix_step_cdfs([c, a, b])
     assert np.array_equal(m1.knots, m2.knots)
-    assert np.allclose(m1.masses, m2.masses, rtol=0, atol=1e-15)
+    assert np.array_equal(m1.weights, m2.weights)
 
 
 @given(step_cdfs(), step_cdfs())
 def test_mix_cdf_is_convex_combination(a, b):
-    mixed = mix_step_cdfs([a, b], [0.4, 0.6])
+    mixed = mix_step_cdfs([a, b])
+    ta, tb = a.weights.sum(), b.weights.sum()
     probes = np.unique(np.concatenate([a.knots, b.knots, [0.0, 1e6]]))
-    want = 0.4 * a.cdf_at(probes) + 0.6 * b.cdf_at(probes)
+    want = (ta * a.cdf_at(probes) + tb * b.cdf_at(probes)) / (ta + tb)
     assert np.allclose(mixed.cdf_at(probes), want, rtol=0, atol=1e-12)
 
 
 # ----------------------------------------------------------- inversion
 
 def test_invert_left_continuity_contract():
-    cdf = StepCdf(knots=np.array([1.0, 2.0, 3.0]), masses=np.array([0.2, 0.3, 0.5]))
-    cums = neumaier_cumsum(cdf.masses)
+    cdf = StepCdf(knots=np.array([1.0, 2.0, 3.0]), weights=np.array([2.0, 3.0, 5.0]))
+    cums = np.cumsum(cdf.weights) / cdf.weights.sum()
     # probing exactly at a knot's cumulative mass returns that knot ...
     assert invert_step_cdf(cdf, cums[0]) == 1.0
     assert invert_step_cdf(cdf, cums[1]) == 2.0
@@ -258,7 +261,7 @@ def test_invert_left_continuity_contract():
 
 @given(step_cdfs())
 def test_invert_left_continuity_random(cdf):
-    cums = neumaier_cumsum(cdf.masses)
+    cums = np.cumsum(cdf.weights) / cdf.weights.sum()
     for i in range(cdf.knots.size):
         c = float(cums[i])
         if not 0.0 < c < 1.0:
@@ -269,7 +272,7 @@ def test_invert_left_continuity_random(cdf):
 
 
 def test_invert_level_range():
-    cdf = StepCdf(knots=np.array([0.0]), masses=np.array([1.0]))
+    cdf = StepCdf(knots=np.array([0.0]), weights=np.array([1.0]))
     for bad in (0.0, 1.0, -1.0, 2.0):
         with pytest.raises(ValidationError) as e:
             invert_step_cdf(cdf, bad)
@@ -278,8 +281,8 @@ def test_invert_level_range():
 
 @given(sketches())
 def test_single_sketch_mixture_roundtrip(sk):
-    # a unit-weight mixture of one sketch inverts back to the exact values
-    got = mixture_quantiles_on_grid([sk], [1.0], sk.grid)
+    # the mixture of one sketch inverts back to the exact values
+    got = mix_step_cdfs([sketch_to_step_cdf(sk)]).quantiles(sk.grid.levels())
     assert np.array_equal(got, sk.values)
 
 
@@ -287,15 +290,7 @@ def test_mixture_quantiles_manual_two_parts():
     # mixture 0.6*delta_0 + 0.4*delta_1 on a 10-level grid: quantile is 0
     # up to level 0.55 and 1 afterwards
     grid = GridSpec(k=10)
-    a = StepCdf(knots=np.array([0.0]), masses=np.array([1.0]))
-    b = StepCdf(knots=np.array([1.0]), masses=np.array([1.0]))
-    got = mixture_quantiles_on_grid([a, b], [0.6, 0.4], grid)
+    a = StepCdf(knots=np.array([0.0]), weights=np.array([6.0]))
+    b = StepCdf(knots=np.array([1.0]), weights=np.array([4.0]))
+    got = mix_step_cdfs([a, b]).quantiles(grid.levels())
     assert np.array_equal(got, [0.0] * 6 + [1.0] * 4)
-
-
-def test_mixture_accepts_sketches_and_cdfs():
-    grid = GridSpec(k=4)
-    sk = build_sketch(np.array([0.0, 1.0, 2.0, 3.0]), grid)
-    got_sk = mixture_quantiles_on_grid([sk], [1.0], grid)
-    got_cdf = mixture_quantiles_on_grid([sketch_to_step_cdf(sk)], [1.0], grid)
-    assert np.array_equal(got_sk, got_cdf)
