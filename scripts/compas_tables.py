@@ -19,8 +19,6 @@ import math
 import os
 import sys
 
-import numpy as np
-
 sys.path.insert(0, os.path.join(os.path.dirname(__file__), "..", "src"))
 
 from fqs import (
@@ -34,6 +32,7 @@ from fqs import (
     load_dataset,
     server_audit,
     sketch_to_step_cdf,
+    split_cells,
     u_hat,
     wasserstein_p_grid,
     write_csv,
@@ -81,16 +80,16 @@ def centralized_rows(data, fine):
 
 
 def federated_rows(data, ks, silos, seed, u2_ref):
-    labels = np.asarray(data.labels, dtype=object)
-    assignment = allocate_random(labels, silos, seed)
+    labels = data.sample.labels
+    assignment = allocate_random(data.codes, silos, seed)
+    cells = split_cells(data.scores, data.codes, assignment - 1, silos, len(labels))
     rows = []
     for k in ks:
         grid = GridSpec(k=k)
-        messages = []
-        for j in range(1, silos + 1):
-            mask = assignment == j
-            local = {g: data.scores[mask & (labels == g)] for g in GROUPS}
-            messages.append(client_summarize(f"silo{j}", local, grid))
+        messages = [
+            client_summarize(f"silo{j}", dict(zip(labels, cell)), grid)
+            for j, cell in enumerate(cells, start=1)
+        ]
         report = server_audit(messages, 2)
         alpha = report.weights.alpha
         fed_w2 = math.sqrt(report.g_hat / (alpha[GROUPS[0]] * alpha[GROUPS[1]]))

@@ -15,26 +15,11 @@ import json
 import os
 import sys
 
-import numpy as np
-
 sys.path.insert(0, os.path.join(os.path.dirname(__file__), "..", "src"))
 
-from fqs import GroupedSample, SweepSpec, run_sweep, sample_beta, to_canonical_json
-from fqs.datasets import IngestedData
+from fqs import SweepSpec, run_sweep, synthetic_population, to_canonical_json
 from fqs.serialize import write_csv
 from fqs.sweep import K95_HEADER, REPLICATION_HEADER, SUMMARY_HEADER
-
-
-def synthetic_population(shapes, n, seed):
-    a0, b0, a1, b1 = shapes
-    half = n // 2
-    g0 = sample_beta(a0, b0, half, seed, stream="synthetic-g0")
-    g1 = sample_beta(a1, b1, n - half, seed, stream="synthetic-g1")
-    return IngestedData(
-        scores=np.concatenate([g0, g1]),
-        labels=("g0",) * half + ("g1",) * (n - half),
-        sample=GroupedSample(groups={"g0": g0, "g1": g1}),
-    )
 
 
 def main(argv=None):
@@ -58,7 +43,7 @@ def main(argv=None):
     shapes = tuple(float(x) for x in args.shapes.split(","))
     if len(shapes) != 4:
         parser.error("--shapes wants four numbers a0,b0,a1,b1")
-    data = synthetic_population(shapes, args.n, args.seed)
+    data = synthetic_population(*shapes, args.n, args.seed)
     spec = SweepSpec(
         ks=tuple(int(x) for x in args.ks.split(",")),
         ds=tuple(int(x) for x in args.ds.split(",")),

@@ -30,15 +30,13 @@ from .bounds import (
     weight_bounds,
 )
 from .central import GroupedSample, h_hat, u2_bin_averaged, u2_linear_exact, u_hat
-from .datasets import DatasetSpec, IngestedData, load_dataset, resolve_data_path
+from .datasets import DatasetSpec, IngestedData, load_dataset, resolve_data_path, synthetic_population
 from .distances import (
-    QuantileArray,
     barycenter_quantiles,
     cramer_integral,
     cramer_p_step,
     power_dispersion,
     wasserstein_p_grid,
-    weighted_median,
 )
 from .errors import (
     EXIT_MALFORMED,
@@ -68,6 +66,7 @@ from .scenario import (
     normal_cdf,
     normal_quantile,
     sample_beta,
+    split_cells,
 )
 from .serialize import format_float, to_canonical_json, write_csv
 from .sketch import (
@@ -104,7 +103,6 @@ __all__ = [
     "GroupedSample",
     "IngestedData",
     "MalformedInputError",
-    "QuantileArray",
     "QuantileSketch",
     "REGIMES",
     "SiloMessage",
@@ -146,13 +144,14 @@ __all__ = [
     "sample_beta",
     "server_audit",
     "sketch_to_step_cdf",
+    "split_cells",
     "substream",
+    "synthetic_population",
     "to_canonical_json",
     "u2_bin_averaged",
     "u2_linear_exact",
     "u_hat",
     "wasserstein_p_grid",
     "weight_bounds",
-    "weighted_median",
     "write_csv",
 ]

@@ -30,8 +30,8 @@ from .bounds import (
     hp_quantile_bound,
     weight_bounds,
 )
-from .central import GroupedSample, h_hat, u_hat
-from .datasets import DatasetSpec, IngestedData, load_dataset, resolve_data_path
+from .central import h_hat, u_hat
+from .datasets import DatasetSpec, IngestedData, load_dataset, resolve_data_path, synthetic_population
 from .distances import cramer_p_step, wasserstein_p_grid
 from .errors import AuditError, ValidationError, exit_code_for
 from .protocol import client_summarize, report_to_dict, server_audit
@@ -40,7 +40,7 @@ from .scenario import (
     allocate_random,
     dependence_diagnostics,
     margins_from_assignment,
-    sample_beta,
+    split_cells,
 )
 from .serialize import format_float, to_canonical_json, write_csv
 from .sketch import GridSpec, sketch_to_step_cdf
@@ -115,16 +115,7 @@ def _load_input(data, score_col, group_col, groups_csv, jitter, seed,
         except ValueError:
             raise ValidationError("invalid-scenario",
                                   f"--synthetic wants 'a0,b0,a1,b1', got {synthetic_shapes!r}") from None
-        if synthetic_n < 2:
-            raise ValidationError("invalid-scenario", "--n must be at least 2")
-        n0 = synthetic_n // 2
-        n1 = synthetic_n - n0
-        s0 = sample_beta(a0, b0, n0, seed, stream="synthetic-g0")
-        s1 = sample_beta(a1, b1, n1, seed, stream="synthetic-g1")
-        scores = np.concatenate([s0, s1])
-        labels = ("g0",) * n0 + ("g1",) * n1
-        sample = GroupedSample(groups={"g0": s0, "g1": s1})
-        return IngestedData(scores=scores, labels=labels, sample=sample)
+        return synthetic_population(a0, b0, a1, b1, synthetic_n, seed)
     if data is None:
         raise ValidationError("missing-file", "either --data or --synthetic is required")
     if not score_col or not group_col:
@@ -179,7 +170,8 @@ def ingest(data, score_col, group_col, groups_csv, jitter, seed, synthetic_shape
                          synthetic_shapes, synthetic_n)
     if out:
         os.makedirs(out, exist_ok=True)
-        rows = zip([format_float(x) for x in loaded.scores], loaded.labels)
+        labels = loaded.sample.labels
+        rows = zip([format_float(x) for x in loaded.scores], [labels[c] for c in loaded.codes.tolist()])
         write_csv(os.path.join(out, "ingested.csv"), ["score", "group"], rows)
     _emit({"n": loaded.scores.size, "groups": loaded.sample.counts()}, None, fmt, "ingest")
 
@@ -235,7 +227,7 @@ def _read_allocation_csv(path: str, n: int) -> np.ndarray:
             silos[ix] = str(row["silo"])
     if sorted(silos) != list(range(n)):
         raise ValidationError("margin-mismatch", f"allocation must cover rows 0..{n - 1} exactly once")
-    return np.asarray([silos[i] for i in range(n)], dtype=object)
+    return np.asarray([silos[i] for i in range(n)])
 
 
 @main.command()
@@ -253,23 +245,24 @@ def sketch(data, score_col, group_col, groups_csv, jitter, seed, synthetic_shape
     """Split rows across silos and write one .fqs message per silo."""
     loaded = _load_input(data, score_col, group_col, groups_csv, jitter, seed,
                          synthetic_shapes, synthetic_n)
-    labels = np.asarray(loaded.labels, dtype=object)
+    codes = loaded.codes
     if (allocation is None) == (d_silos is None):
         raise ValidationError("invalid-scenario", "pass exactly one of --allocation or --d")
     if allocation is not None:
-        silo_ids = _read_allocation_csv(resolve_data_path(allocation), labels.size)
+        silo_ids = _read_allocation_csv(resolve_data_path(allocation), codes.size)
     else:
-        silo_ids = np.asarray([f"silo{j}" for j in allocate_random(labels, d_silos, seed)], dtype=object)
+        silo_ids = np.asarray([f"silo{j}" for j in allocate_random(codes, d_silos, seed)])
+    sids, silo = np.unique(silo_ids, return_inverse=True)
+    labels = loaded.sample.labels
+    cells = split_cells(loaded.scores, codes, silo, sids.size, len(labels))
     grid = GridSpec(k=grid_k, trim_epsilon=trim_eps)
     os.makedirs(out, exist_ok=True)
     written = []
     info = {}
-    for sid in sorted(set(silo_ids.tolist())):
+    for sid, cell in zip(sids.tolist(), cells):
         if not all(c.isalnum() or c in "-_." for c in sid):
             raise ValidationError("invalid-silo-id", f"silo id {sid!r} is not filename-safe")
-        in_silo = silo_ids == sid
-        local = {lab: loaded.scores[in_silo & (labels == lab)] for lab in sorted(set(loaded.labels))}
-        msg = client_summarize(sid, local, grid)
+        msg = client_summarize(sid, dict(zip(labels, cell)), grid)
         path = os.path.join(out, f"{sid}.fqs")
         with open(path, "wb") as fh:
             fh.write(encode_message(msg))
@@ -357,14 +350,13 @@ def parse_scenario_config(text: str) -> Dict[str, str]:
 def _read_margins_csv(path: str, labels) -> np.ndarray:
     import csv as _csv
 
-    uniq = sorted(set(labels))
     with open(path, "r", encoding="utf-8-sig", newline="") as fh:
         reader = _csv.DictReader(fh)
         cols = reader.fieldnames or []
-        for lab in uniq:
+        for lab in labels:
             if lab not in cols:
                 raise ValidationError("missing-column", f"margins CSV lacks a column for group {lab!r}")
-        rows = [[int(row[lab]) for lab in uniq] for row in reader]
+        rows = [[int(row[lab]) for lab in labels] for row in reader]
     if not rows:
         raise ValidationError("no-rows", "margins CSV has no silo rows")
     return np.asarray(rows, dtype=np.int64)
@@ -399,29 +391,29 @@ def simulate(data, score_col, group_col, groups_csv, jitter, seed, synthetic_sha
             margins_path = None
     loaded = _load_input(data, score_col, group_col, groups_csv, jitter, seed,
                          synthetic_shapes, synthetic_n)
-    labels = np.asarray(loaded.labels, dtype=object)
+    codes = loaded.codes
+    labels = list(loaded.sample.labels)
     if regime == "random" and margins_path is None:
-        assignment = allocate_random(labels, d_silos, seed)
+        assignment = allocate_random(codes, d_silos, seed)
     else:
         if margins_path is None:
-            margins = margins_from_assignment(allocate_random(labels, d_silos, seed), labels, d_silos)
+            margins = margins_from_assignment(allocate_random(codes, d_silos, seed), codes, d_silos)
         else:
-            margins = _read_margins_csv(resolve_data_path(margins_path), loaded.labels)
+            margins = _read_margins_csv(resolve_data_path(margins_path), labels)
             d_silos = int(margins.shape[0])
-        assignment = allocate_copula(loaded.scores, labels, margins, rho, regime, seed)
+        assignment = allocate_copula(loaded.scores, codes, margins, rho, regime, seed)
     os.makedirs(out, exist_ok=True)
     write_csv(os.path.join(out, "allocation.csv"), ["row", "silo"],
               [(i, int(s)) for i, s in enumerate(assignment)])
-    realized = margins_from_assignment(assignment, labels, d_silos)
-    uniq = sorted(set(loaded.labels))
-    write_csv(os.path.join(out, "margins.csv"), ["silo"] + uniq,
+    realized = margins_from_assignment(assignment, codes, d_silos)
+    write_csv(os.path.join(out, "margins.csv"), ["silo"] + labels,
               [[j + 1] + realized[j].tolist() for j in range(realized.shape[0])])
     try:
         corr = dependence_diagnostics(loaded.scores, assignment)
         pearson, spearman = corr["pearson"], corr["spearman"]
     except ValidationError:
         pearson = spearman = None
-    _emit({"regime": regime, "rho": rho, "d": d_silos, "seed": seed, "n": int(labels.size),
+    _emit({"regime": regime, "rho": rho, "d": d_silos, "seed": seed, "n": int(codes.size),
            "pearson": pearson, "spearman": spearman}, None, "json", "simulate")
 
 

@@ -5,6 +5,7 @@ and a categorical group column.  Ingestion filters rows to a group
 whitelist, optionally dejitters integer-valued scores by subtracting a
 seeded Uniform(0,1) draw per row (in filtered row order), and returns the
 grouped sample plus the row-level arrays needed for allocation.
+:func:`synthetic_population` builds the same view from two Beta laws.
 """
 
 from __future__ import annotations
@@ -19,8 +20,9 @@ import numpy as np
 from .central import GroupedSample
 from .errors import ValidationError
 from .rng import substream
+from .scenario import sample_beta
 
-__all__ = ["DatasetSpec", "IngestedData", "load_dataset", "resolve_data_path"]
+__all__ = ["DatasetSpec", "IngestedData", "load_dataset", "resolve_data_path", "synthetic_population"]
 
 DATA_DIR_ENV = "FQS_DATA_DIR"
 
@@ -39,10 +41,11 @@ class DatasetSpec:
 
 @dataclass(frozen=True, eq=False)
 class IngestedData:
-    """Filtered rows in file order, plus the grouped view."""
+    """Filtered rows in file order, plus the grouped view; row i belongs to
+    group ``sample.labels[codes[i]]``."""
 
     scores: np.ndarray
-    labels: Tuple[str, ...]
+    codes: np.ndarray
     sample: GroupedSample
 
 
@@ -88,14 +91,28 @@ def load_dataset(spec: DatasetSpec) -> IngestedData:
             labels.append(group)
     if not scores:
         raise ValidationError("no-rows", "no rows survived the group filter")
+    groups, codes = np.unique(np.asarray(labels), return_inverse=True)
+    groups = groups.tolist()
     for g in whitelist:
-        if g not in labels:
+        if g not in groups:
             raise ValidationError("missing-group", f"whitelisted group {g!r} has no rows")
     arr = np.asarray(scores, dtype=np.float64)
     if spec.jitter:
         arr = arr - substream(spec.seed, "jitter").random(arr.size)
-    by_group = {}
-    for lab in sorted(set(labels)):
-        mask = np.asarray([l == lab for l in labels], dtype=bool)
-        by_group[lab] = arr[mask]
-    return IngestedData(scores=arr, labels=tuple(labels), sample=GroupedSample(groups=by_group))
+    by_group = {lab: arr[codes == c] for c, lab in enumerate(groups)}
+    return IngestedData(scores=arr, codes=codes, sample=GroupedSample(groups=by_group))
+
+
+def synthetic_population(a0: float, b0: float, a1: float, b1: float, n: int, seed: int) -> IngestedData:
+    """Two Beta groups, g0 ~ Beta(a0, b0) with n // 2 rows followed by
+    g1 ~ Beta(a1, b1) with the rest."""
+    if n < 2:
+        raise ValidationError("invalid-scenario", f"n must be at least 2, got {n}")
+    n0 = n // 2
+    s0 = sample_beta(a0, b0, n0, seed, stream="synthetic-g0")
+    s1 = sample_beta(a1, b1, n - n0, seed, stream="synthetic-g1")
+    return IngestedData(
+        scores=np.concatenate([s0, s1]),
+        codes=np.repeat([0, 1], [n0, n - n0]),
+        sample=GroupedSample(groups={"g0": s0, "g1": s1}),
+    )

@@ -15,20 +15,17 @@ weighted median for p = 1.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from typing import Sequence, Tuple
 
 import numpy as np
 
 from .errors import ValidationError
-from .sketch import GridSpec, QuantileSketch, StepCdf, mix_step_cdfs
+from .sketch import QuantileSketch, StepCdf, mix_step_cdfs
 
 __all__ = [
-    "QuantileArray",
     "wasserstein_p_grid",
     "cramer_p_step",
     "barycenter_quantiles",
-    "weighted_median",
     "transport_disparity",
     "cdf_disparity",
 ]
@@ -56,28 +53,8 @@ def _check_p(p) -> int:
     return int(p)
 
 
-@dataclass(frozen=True, eq=False)
-class QuantileArray:
-    """Nondecreasing quantile values attached to a grid."""
-
-    grid: GridSpec
-    values: np.ndarray
-
-    def __post_init__(self):
-        vals = np.asarray(self.values, dtype=np.float64)
-        if vals.ndim != 1 or vals.size != self.grid.k:
-            raise ValidationError("invalid-sketch", f"expected {self.grid.k} values")
-        if not np.all(np.isfinite(vals)):
-            raise ValidationError("invalid-sketch", "values must be finite")
-        if vals.size > 1 and np.any(np.diff(vals) < 0):
-            raise ValidationError("invalid-sketch", "values must be nondecreasing")
-        vals = vals.copy()
-        vals.setflags(write=False)
-        object.__setattr__(self, "values", vals)
-
-
 def _values_and_grid(x):
-    if isinstance(x, (QuantileArray, QuantileSketch)):
+    if isinstance(x, QuantileSketch):
         return x.values, x.grid
     arr = np.asarray(x, dtype=np.float64)
     if arr.ndim != 1:
@@ -98,8 +75,8 @@ def _aligned_values(a, b):
 def wasserstein_p_grid(a, b, p) -> float:
     """Order-p transport distance between quantile vectors on one grid.
 
-    Returns ``(mean_l |a_l - b_l|^p)^(1/p)``; inputs may be QuantileArray,
-    QuantileSketch, or plain aligned vectors.
+    Returns ``(mean_l |a_l - b_l|^p)^(1/p)``; inputs may be QuantileSketch
+    or plain aligned vectors.
     """
     p = _check_p(p)
     va, vb = _aligned_values(a, b)
@@ -216,17 +193,3 @@ def cdf_disparity(cdfs: Sequence[StepCdf], weights, p) -> float:
     pooled = mix_step_cdfs(cdfs)
     return math.fsum(w * cramer_integral(f, pooled, p) for w, f in zip(weights, cdfs))
 
-
-def weighted_median(values, weights) -> float:
-    """Lower weighted median of scalars with positive total weight."""
-    vals = np.asarray(values, dtype=np.float64)
-    w = np.asarray(weights, dtype=np.float64)
-    if vals.ndim != 1 or vals.size == 0:
-        raise ValidationError("empty-sample", "need at least one value")
-    if w.shape != vals.shape:
-        raise ValidationError("grid-mismatch", "values and weights must have equal length")
-    if not (np.all(np.isfinite(vals)) and np.all(np.isfinite(w))):
-        raise ValidationError("invalid-sketch", "values and weights must be finite")
-    if np.any(w < 0):
-        raise ValidationError("negative-weight", "weights must be nonnegative")
-    return float(_columnwise_weighted_median(vals[:, None], w)[0])

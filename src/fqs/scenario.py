@@ -1,16 +1,20 @@
 """Synthetic allocation of individuals to silos, with tunable selection bias.
 
-The generator separates two concerns:
+The module separates three steps:
 
 * a baseline allocation (:func:`allocate_random`) fixes how many members
   of each group live in each silo -- the margins;
 * :func:`allocate_copula` redistributes individuals across silos while
   realizing those margins exactly, coupling the silo choice to the score
-  through a Gaussian copula with strength rho in [0, 1).
+  through a Gaussian copula with strength rho in [0, 1);
+* :func:`split_cells` cuts the scattered rows into (silo, group) cells.
+
+Groups are the sorted distinct labels; callers may pass the labels or
+their integer codes.
 
 Under the ``positive`` regime high scores drift toward high-index silos in
-both groups; ``negative`` reverses the drift for the lexicographically
-first group label, creating opposing selection; ``random`` ignores scores
+both groups; ``negative`` reverses the drift for the first group in
+sorted label order, creating opposing selection; ``random`` ignores scores
 entirely.  Because members are ranked within their group and cut by the
 cumulative margins, the realized contingency table equals the margins in
 every regime, so regimes differ only in who goes where, never in how many.
@@ -20,7 +24,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Dict
+from typing import Dict, List
 
 import numpy as np
 from scipy.special import ndtr, ndtri
@@ -33,6 +37,7 @@ __all__ = [
     "allocate_random",
     "allocate_copula",
     "margins_from_assignment",
+    "split_cells",
     "dependence_diagnostics",
     "sample_beta",
     "normal_cdf",
@@ -62,36 +67,44 @@ class AllocationScenario:
             raise ValidationError("invalid-scenario", "seed must be an integer")
 
 
-def _labels_array(group_labels) -> np.ndarray:
-    labels = np.asarray([str(x) for x in group_labels], dtype=object)
-    if labels.size == 0:
+def _group_codes(group_labels):
+    """Sorted distinct labels and each row's index into them."""
+    groups, codes = np.unique(np.asarray(group_labels), return_inverse=True)
+    if codes.size == 0:
         raise ValidationError("empty-sample", "need at least one individual")
-    return labels
+    return groups.tolist(), codes
 
 
 def allocate_random(group_labels, d: int, seed: int) -> np.ndarray:
     """I.i.d. uniform silo draw (1..d) for every individual."""
-    labels = _labels_array(group_labels)
+    if len(group_labels) == 0:
+        raise ValidationError("empty-sample", "need at least one individual")
     if not isinstance(d, int) or isinstance(d, bool) or d < 1:
         raise ValidationError("invalid-scenario", f"d must be a positive integer, got {d!r}")
     gen = substream(seed, "allocate-random")
-    return gen.integers(1, d + 1, size=labels.size, dtype=np.int64)
+    return gen.integers(1, d + 1, size=len(group_labels), dtype=np.int64)
 
 
 def margins_from_assignment(assignment, group_labels, d: int) -> np.ndarray:
     """Contingency table N[silo - 1][group], groups in sorted label order."""
-    labels = _labels_array(group_labels)
+    groups, codes = _group_codes(group_labels)
     silo = np.asarray(assignment, dtype=np.int64)
-    if silo.shape != labels.shape:
+    if silo.shape != codes.shape:
         raise ValidationError("margin-mismatch", "assignment and labels must have equal length")
     if silo.size and (silo.min() < 1 or silo.max() > d):
         raise ValidationError("margin-mismatch", f"silo indices must lie in 1..{d}")
-    uniq = sorted(set(labels.tolist()))
-    table = np.zeros((d, len(uniq)), dtype=np.int64)
-    for c, lab in enumerate(uniq):
-        members = silo[labels == lab]
-        table[:, c] = np.bincount(members - 1, minlength=d)
-    return table
+    g = len(groups)
+    return np.bincount((silo - 1) * g + codes, minlength=d * g).reshape(d, g)
+
+
+def split_cells(scores, codes, silo, d: int, groups: int) -> List[List[np.ndarray]]:
+    """Scores of every (silo, group) cell: ``cells[j][c]`` holds, in row
+    order, the scores of the rows in silo j with group code c (both
+    0-based).  Empty cells are empty arrays."""
+    order = np.lexsort((codes, silo))
+    sizes = np.bincount(silo * groups + codes, minlength=d * groups)
+    parts = np.split(np.asarray(scores)[order], np.cumsum(sizes)[:-1])
+    return [parts[j * groups : (j + 1) * groups] for j in range(d)]
 
 
 def _randomized_ranks(scores: np.ndarray, gen: np.random.Generator) -> np.ndarray:
@@ -113,9 +126,9 @@ def allocate_copula(scores, group_labels, margins, rho: float, regime: str, seed
     by the latent are cut by the cumulative margin counts, so the returned
     table is exactly ``margins`` for every regime, rho and seed.
     """
-    labels = _labels_array(group_labels)
+    groups, codes = _group_codes(group_labels)
     z = np.asarray(scores, dtype=np.float64)
-    if z.shape != labels.shape:
+    if z.shape != codes.shape:
         raise ValidationError("margin-mismatch", "scores and labels must have equal length")
     if not np.all(np.isfinite(z)):
         raise ValidationError("non-finite-sample", "scores must be finite")
@@ -128,11 +141,18 @@ def allocate_copula(scores, group_labels, margins, rho: float, regime: str, seed
         raise ValidationError("margin-mismatch", "margins must be a (silo, group) matrix")
     if np.any(table < 0):
         raise ValidationError("margin-mismatch", "margins must be nonnegative")
-    uniq = sorted(set(labels.tolist()))
-    if table.shape[1] != len(uniq):
-        raise ValidationError("margin-mismatch", f"margins have {table.shape[1]} columns, data has {len(uniq)} groups")
+    if table.shape[1] != len(groups):
+        raise ValidationError("margin-mismatch", f"margins have {table.shape[1]} columns, data has {len(groups)} groups")
     if int(table.sum()) != z.size:
         raise ValidationError("margin-mismatch", "margins total differs from the number of individuals")
+    members = np.bincount(codes, minlength=len(groups))
+    wrong = np.flatnonzero(table.sum(axis=0) != members)
+    if wrong.size:
+        c = wrong[0]
+        raise ValidationError(
+            "margin-mismatch",
+            f"margins give {int(table[:, c].sum())} members for group {groups[c]!r}, data has {members[c]}",
+        )
 
     n = z.size
     noise_gen = substream(seed, "latent-noise")
@@ -143,24 +163,14 @@ def allocate_copula(scores, group_labels, margins, rho: float, regime: str, seed
         zr = ndtri(ranks / (n + 1.0))
         latent = ndtr(rho * zr + math.sqrt(1.0 - rho * rho) * noise_gen.standard_normal(n))
         if regime == "negative":
-            flip = labels == uniq[0]
-            latent = np.where(flip, 1.0 - latent, latent)
+            latent = np.where(codes == 0, 1.0 - latent, latent)
 
+    # Rows ordered by group, then latent, then a seeded tie-break; each
+    # group's run is cut by its margin column, silo 1 first.
     tie = substream(seed, "assign-ties").permutation(n)
-    assignment = np.zeros(n, dtype=np.int64)
-    for c, lab in enumerate(uniq):
-        members = np.flatnonzero(labels == lab)
-        col = table[:, c]
-        if int(col.sum()) != members.size:
-            raise ValidationError(
-                "margin-mismatch",
-                f"margins give {int(col.sum())} members for group {lab!r}, data has {members.size}",
-            )
-        ordered = members[np.lexsort((tie[members], latent[members]))]
-        stop = np.cumsum(col)
-        start = stop - col
-        for silo_ix in range(table.shape[0]):
-            assignment[ordered[start[silo_ix] : stop[silo_ix]]] = silo_ix + 1
+    order = np.lexsort((tie, latent, codes))
+    assignment = np.empty(n, dtype=np.int64)
+    assignment[order] = np.repeat(np.tile(np.arange(1, table.shape[0] + 1), len(groups)), table.T.ravel())
     return assignment
 
 

@@ -143,7 +143,8 @@ class StepCdf:
         if np.any(weights <= 0):
             raise ValidationError("invalid-step-cdf", "weights must be positive")
         running = np.cumsum(weights)
-        cum = running / running[-1]
+        # cumulative masses with a leading 0: _cum[i] is the mass strictly below knot i
+        cum = np.concatenate(([0.0], running / running[-1]))
         knots = knots.copy()
         weights = weights.copy()
         for arr in (knots, weights, cum):
@@ -155,14 +156,13 @@ class StepCdf:
     def cdf_at(self, x) -> np.ndarray:
         """Right-continuous CDF evaluated at the given points."""
         idx = np.searchsorted(self.knots, np.asarray(x, dtype=np.float64), side="right")
-        cum = np.concatenate(([0.0], self._cum))
-        return cum[idx]
+        return self._cum[idx]
 
     def quantiles(self, levels) -> np.ndarray:
         """Generalized inverse at each level: the smallest knot whose
         cumulative mass reaches it, within ``CUM_MASS_SLACK``."""
         levels = np.asarray(levels, dtype=np.float64)
-        idx = np.searchsorted(self._cum, levels - CUM_MASS_SLACK, side="left")
+        idx = np.searchsorted(self._cum[1:], levels - CUM_MASS_SLACK, side="left")
         return self.knots[np.minimum(idx, self.knots.size - 1)]
 
 

@@ -27,6 +27,7 @@ from .scenario import (
     allocate_random,
     dependence_diagnostics,
     margins_from_assignment,
+    split_cells,
 )
 from .sketch import GridSpec
 
@@ -79,23 +80,20 @@ class SweepResult:
 def _one_replication(data: IngestedData, regime: str, rho: float, d: int, k: int,
                      rep: int, base_seed: int, grid: GridSpec, ref: float, tau: float) -> dict:
     seed = derive_key(base_seed, "sweep-" + regime, d, k, rep)
-    labels = np.asarray(data.labels, dtype=object)
+    codes = data.codes
     if regime == "random":
-        assignment = allocate_random(labels, d, seed)
+        assignment = allocate_random(codes, d, seed)
     else:
-        baseline = allocate_random(labels, d, seed)
-        margins = margins_from_assignment(baseline, labels, d)
-        assignment = allocate_copula(data.scores, labels, margins, rho, regime, seed)
-    messages = []
-    for j in range(1, d + 1):
-        in_silo = assignment == j
-        if not np.any(in_silo):
-            continue
-        local = {
-            lab: data.scores[in_silo & (labels == lab)]
-            for lab in sorted(set(data.labels))
-        }
-        messages.append(client_summarize(f"silo{j}", local, grid))
+        baseline = allocate_random(codes, d, seed)
+        margins = margins_from_assignment(baseline, codes, d)
+        assignment = allocate_copula(data.scores, codes, margins, rho, regime, seed)
+    labels = data.sample.labels
+    cells = split_cells(data.scores, codes, assignment - 1, d, len(labels))
+    messages = [
+        client_summarize(f"silo{j}", dict(zip(labels, cell)), grid)
+        for j, cell in enumerate(cells, start=1)
+        if any(c.size for c in cell)
+    ]
     report = server_audit(messages, 2)
     g2 = report.g_hat
     abs_err = abs(g2 - ref)

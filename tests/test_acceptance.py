@@ -33,6 +33,7 @@ from fqs import (
     sample_beta,
     server_audit,
     sketch_to_step_cdf,
+    split_cells,
     u2_bin_averaged,
     u2_linear_exact,
     u_hat,
@@ -360,16 +361,13 @@ def test_compas_reproduction():
     assert h2 == pytest.approx(0.0077, abs=0.0015)
     assert w2 == pytest.approx(1.7813, abs=0.01)
     # five silos, random allocation: same quantities through the protocol
-    labels = np.asarray(data.labels, dtype=object)
-    assignment = allocate_random(labels, 5, 20)
-    messages = []
-    for j in range(1, 6):
-        mask = assignment == j
-        local = {
-            lab: data.scores[mask & (labels == lab)]
-            for lab in ("African-American", "Caucasian")
-        }
-        messages.append(client_summarize(f"silo{j}", local, grid))
+    labels = data.sample.labels
+    assignment = allocate_random(data.codes, 5, 20)
+    cells = split_cells(data.scores, data.codes, assignment - 1, 5, len(labels))
+    messages = [
+        client_summarize(f"silo{j}", dict(zip(labels, cell)), grid)
+        for j, cell in enumerate(cells, start=1)
+    ]
     report = server_audit(messages, 2)
     alpha = report.weights.alpha
     fed_w2 = math.sqrt(
@@ -396,10 +394,9 @@ def test_sweep_qualitative_shapes():
             sample_beta(5.0, 2.0, half, 77, stream="acc-b"),
         ]
     )
-    labels = ("a",) * half + ("b",) * half
     data = IngestedData(
         scores=scores,
-        labels=labels,
+        codes=np.repeat([0, 1], half),
         sample=GroupedSample(groups={"a": scores[:half], "b": scores[half:]}),
     )
     spec = SweepSpec(

@@ -11,7 +11,6 @@ from scipy.stats import wasserstein_distance
 import fqs
 from fqs import (
     GridSpec,
-    QuantileArray,
     ValidationError,
     barycenter_quantiles,
     cramer_integral,
@@ -19,7 +18,6 @@ from fqs import (
     power_dispersion,
     sketch_to_step_cdf,
     wasserstein_p_grid,
-    weighted_median,
 )
 from fqs.sketch import StepCdf
 
@@ -185,21 +183,16 @@ def test_barycenter_p1_optimality():
 
 
 def test_weighted_median_scalar():
+    def median(values, weights):
+        return barycenter_quantiles([[v] for v in values], weights, 1)[0]
+
     # sorted values [1, 3, 5] carry weights [0.5, 0.3, 0.2]: the cumulative
     # weight reaches 1/2 already at the first value
-    assert weighted_median([5.0, 1.0, 3.0], [0.2, 0.5, 0.3]) == 1.0
+    assert median([5.0, 1.0, 3.0], [0.2, 0.5, 0.3]) == 1.0
     # and with the half-mass point strictly inside, the middle value wins
-    assert weighted_median([5.0, 1.0, 3.0], [0.3, 0.3, 0.4]) == 3.0
-    assert weighted_median([1.0, 2.0], [0.5, 0.5]) == 1.0
-    assert weighted_median([4.0], [1.0]) == 4.0
-
-
-def test_quantile_array_validation():
-    grid = GridSpec(k=3)
-    qa = QuantileArray(grid=grid, values=np.array([1.0, 1.0, 4.0]))
-    assert qa.values.flags.writeable is False
-    with pytest.raises(ValidationError):
-        QuantileArray(grid=grid, values=np.array([2.0, 1.0, 4.0]))
+    assert median([5.0, 1.0, 3.0], [0.3, 0.3, 0.4]) == 3.0
+    assert median([1.0, 2.0], [0.5, 0.5]) == 1.0
+    assert median([4.0], [1.0]) == 4.0
 
 
 # ----------------------------------------------------------- dispersion

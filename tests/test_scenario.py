@@ -17,6 +17,7 @@ from fqs import (
     normal_cdf,
     normal_quantile,
     sample_beta,
+    split_cells,
 )
 
 from .conftest import rng
@@ -195,6 +196,22 @@ def test_margins_from_assignment_keeps_empty_silos():
     assignment = np.array([1, 1])
     got = margins_from_assignment(assignment, labels, 3)
     np.testing.assert_array_equal(got, [[2], [0], [0]])
+
+
+def test_split_cells_matches_boolean_masks():
+    gen = rng(41)
+    n, d, groups = 80, 4, 3
+    scores = gen.normal(size=n)
+    codes = gen.integers(0, groups, size=n)
+    silo = gen.integers(0, d - 1, size=n)  # the last silo stays empty
+    codes[silo == 0] %= 2  # group 2 is absent from the first silo
+    cells = split_cells(scores, codes, silo, d, groups)
+    assert [len(cell) for cell in cells] == [groups] * d
+    for j in range(d):
+        for c in range(groups):
+            np.testing.assert_array_equal(cells[j][c], scores[(silo == j) & (codes == c)])
+    assert cells[0][2].size == 0
+    assert all(part.size == 0 for part in cells[d - 1])
 
 
 # ------------------------------------------------- dependence diagnostics

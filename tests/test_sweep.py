@@ -17,9 +17,9 @@ def small_data(n=400):
             fqs.sample_beta(5.0, 2.0, half, 601, stream="sweep-b"),
         ]
     )
-    labels = ("a",) * half + ("b",) * half
+    codes = np.repeat([0, 1], half)
     sample = GroupedSample(groups={"a": scores[:half], "b": scores[half:]})
-    return IngestedData(scores=scores, labels=labels, sample=sample)
+    return IngestedData(scores=scores, codes=codes, sample=sample)
 
 
 def small_spec(**kw):
