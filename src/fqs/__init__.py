@@ -74,8 +74,6 @@ from .sketch import (
     QuantileSketch,
     StepCdf,
     build_sketch,
-    empirical_quantile,
-    invert_step_cdf,
     mix_step_cdfs,
     sketch_to_step_cdf,
 )
@@ -122,14 +120,12 @@ __all__ = [
     "dependence_diagnostics",
     "derive_key",
     "dkw_bound",
-    "empirical_quantile",
     "encode_message",
     "exit_code_for",
     "format_float",
     "g2_error_scale",
     "h_hat",
     "hp_quantile_bound",
-    "invert_step_cdf",
     "load_dataset",
     "margins_from_assignment",
     "message_from_json",

@@ -31,7 +31,15 @@ from .bounds import (
     weight_bounds,
 )
 from .central import h_hat, u_hat
-from .datasets import DatasetSpec, IngestedData, load_dataset, resolve_data_path, synthetic_population
+from .datasets import (
+    DatasetSpec,
+    IngestedData,
+    _csv_records,
+    _sorted_codes,
+    load_dataset,
+    resolve_data_path,
+    synthetic_population,
+)
 from .distances import cramer_p_step, wasserstein_p_grid
 from .errors import AuditError, ValidationError, exit_code_for
 from .protocol import client_summarize, report_to_dict, server_audit
@@ -211,23 +219,34 @@ def audit(data, score_col, group_col, groups_csv, jitter, seed, synthetic_shapes
     _emit(result, out, fmt, "audit")
 
 
-def _read_allocation_csv(path: str, n: int) -> np.ndarray:
-    import csv as _csv
-
-    silos = {}
-    with open(path, "r", encoding="utf-8-sig", newline="") as fh:
-        reader = _csv.DictReader(fh)
-        if not reader.fieldnames or "row" not in reader.fieldnames or "silo" not in reader.fieldnames:
-            raise ValidationError("missing-column", "allocation CSV needs 'row' and 'silo' columns")
-        for row in reader:
-            try:
-                ix = int(row["row"])
-            except (TypeError, ValueError):
-                raise ValidationError("non-numeric-score", f"bad row id {row['row']!r}") from None
-            silos[ix] = str(row["silo"])
-    if sorted(silos) != list(range(n)):
-        raise ValidationError("margin-mismatch", f"allocation must cover rows 0..{n - 1} exactly once")
-    return np.asarray([silos[i] for i in range(n)])
+def _read_allocation_csv(path: str, n: int) -> Tuple[np.ndarray, np.ndarray]:
+    """Sorted silo ids and each data row's index into them, from a
+    ``row,silo`` CSV that names every row id 0..n-1 exactly once."""
+    rows = []
+    silos = []
+    first_seen: Dict[str, int] = {}
+    for lineno, (raw, sid) in _csv_records(path, ("row", "silo"), "allocation CSV"):
+        if raw is None or sid is None:
+            raise ValidationError("missing-column", f"allocation CSV row {lineno} is short")
+        try:
+            ix = int(raw)
+        except ValueError:
+            raise ValidationError("non-numeric-score",
+                                  f"allocation CSV row {lineno}: bad row id {raw!r}") from None
+        if not 0 <= ix < n:
+            raise ValidationError("margin-mismatch",
+                                  f"allocation CSV row {lineno}: row id {ix} is outside 0..{n - 1}")
+        rows.append(ix)
+        silos.append(first_seen.setdefault(sid, len(first_seen)))
+    seen = np.bincount(np.asarray(rows, dtype=np.int64), minlength=n)
+    if np.any(seen != 1):
+        bad = int(np.flatnonzero(seen != 1)[0])
+        raise ValidationError("margin-mismatch", f"allocation must cover rows 0..{n - 1} exactly once; "
+                                                 f"row id {bad} appears {int(seen[bad])} times")
+    sids, codes = _sorted_codes(list(first_seen), silos)
+    silo = np.empty(n, dtype=np.int64)
+    silo[rows] = codes
+    return sids, silo
 
 
 @main.command()
@@ -249,10 +268,10 @@ def sketch(data, score_col, group_col, groups_csv, jitter, seed, synthetic_shape
     if (allocation is None) == (d_silos is None):
         raise ValidationError("invalid-scenario", "pass exactly one of --allocation or --d")
     if allocation is not None:
-        silo_ids = _read_allocation_csv(resolve_data_path(allocation), codes.size)
+        sids, silo = _read_allocation_csv(resolve_data_path(allocation), codes.size)
     else:
-        silo_ids = np.asarray([f"silo{j}" for j in allocate_random(codes, d_silos, seed)])
-    sids, silo = np.unique(silo_ids, return_inverse=True)
+        used, silo = np.unique(allocate_random(codes, d_silos, seed), return_inverse=True)
+        sids, silo = _sorted_codes([f"silo{j}" for j in used.tolist()], silo)
     labels = loaded.sample.labels
     cells = split_cells(loaded.scores, codes, silo, sids.size, len(labels))
     grid = GridSpec(k=grid_k, trim_epsilon=trim_eps)
@@ -348,15 +367,16 @@ def parse_scenario_config(text: str) -> Dict[str, str]:
 
 
 def _read_margins_csv(path: str, labels) -> np.ndarray:
-    import csv as _csv
-
-    with open(path, "r", encoding="utf-8-sig", newline="") as fh:
-        reader = _csv.DictReader(fh)
-        cols = reader.fieldnames or []
-        for lab in labels:
-            if lab not in cols:
-                raise ValidationError("missing-column", f"margins CSV lacks a column for group {lab!r}")
-        rows = [[int(row[lab]) for lab in labels] for row in reader]
+    rows = []
+    for lineno, counts in _csv_records(path, labels, "margins CSV"):
+        row = []
+        for lab, cell in zip(labels, counts):
+            try:
+                row.append(int(cell))
+            except (TypeError, ValueError):
+                raise ValidationError("margin-mismatch", f"margins CSV row {lineno}: group {lab!r} "
+                                                         f"count {cell!r} is not an integer") from None
+        rows.append(row)
     if not rows:
         raise ValidationError("no-rows", "margins CSV has no silo rows")
     return np.asarray(rows, dtype=np.int64)

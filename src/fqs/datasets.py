@@ -6,14 +6,18 @@ whitelist, optionally dejitters integer-valued scores by subtracting a
 seeded Uniform(0,1) draw per row (in filtered row order), and returns the
 grouped sample plus the row-level arrays needed for allocation.
 :func:`synthetic_population` builds the same view from two Beta laws.
+Every CSV the package reads (data, allocation and margins files) goes
+through ``_csv_records``, one streaming ``csv.reader`` loop.
 """
 
 from __future__ import annotations
 
 import csv
+import math
+import operator
 import os
 from dataclasses import dataclass
-from typing import List, Tuple
+from typing import Dict, Iterator, List, Sequence, Tuple
 
 import numpy as np
 
@@ -61,46 +65,71 @@ def resolve_data_path(path: str) -> str:
     raise ValidationError("missing-file", f"no such file: {path!r} (also tried ${DATA_DIR_ENV})")
 
 
+def _csv_records(path: str, columns: Sequence[str], what: str) -> Iterator[Tuple[int, tuple]]:
+    """Yield ``(lineno, fields)`` for each non-blank record of a CSV file,
+    ``fields`` holding the named columns' values in the order asked.
+
+    The rules are those of ``csv.DictReader``: the first record is the
+    header, blank lines are skipped, records are numbered from 2 over the
+    non-blank ones, a repeated header name reads its last column, and a
+    field past the end of a short record reads ``None``.
+    """
+    with open(path, "r", encoding="utf-8-sig", newline="") as fh:
+        reader = csv.reader(fh)
+        header = next(reader, [])
+        position = {name: i for i, name in enumerate(header)}
+        for col in columns:
+            if col not in position:
+                raise ValidationError("missing-column", f"{what} has no column {col!r} (header: {header})")
+        index = [position[col] for col in columns]
+        width = max(index) + 1
+        # itemgetter of a single index returns the bare field, not a 1-tuple
+        pick = operator.itemgetter(*index) if len(index) > 1 else (lambda rec, i=index[0]: (rec[i],))
+        for lineno, rec in enumerate(filter(None, reader), start=2):
+            if len(rec) < width:
+                rec = rec + [None] * (width - len(rec))
+            yield lineno, pick(rec)
+
+
+def _sorted_codes(labels: Sequence[str], codes) -> Tuple[np.ndarray, np.ndarray]:
+    """Re-code indices into ``labels`` as indices into its sorted distinct
+    values: the codes ``np.unique`` returns for the full label column."""
+    uniq, remap = np.unique(np.asarray(labels), return_inverse=True)
+    return uniq, remap[np.asarray(codes, dtype=np.int64)]
+
+
 def load_dataset(spec: DatasetSpec) -> IngestedData:
     path = resolve_data_path(spec.path)
     whitelist = tuple(str(g) for g in spec.groups)
     scores: List[float] = []
-    labels: List[str] = []
-    with open(path, "r", encoding="utf-8-sig", newline="") as fh:
-        reader = csv.DictReader(fh)
-        header = reader.fieldnames or []
-        for col in (spec.score_column, spec.group_column):
-            if col not in header:
-                raise ValidationError("missing-column", f"column {col!r} not in {sorted(header)}")
-        for lineno, row in enumerate(reader, start=2):
-            group = row[spec.group_column]
-            if group is None:
-                raise ValidationError("missing-column", f"row {lineno} is short")
-            if whitelist and group not in whitelist:
-                continue
-            raw = row[spec.score_column]
-            try:
-                score = float(raw)
-            except (TypeError, ValueError):
-                raise ValidationError(
-                    "non-numeric-score", f"row {lineno}: cannot parse score {raw!r}"
-                ) from None
-            if not np.isfinite(score):
-                raise ValidationError("non-numeric-score", f"row {lineno}: score {raw!r} is not finite")
-            scores.append(score)
-            labels.append(group)
+    codes: List[int] = []
+    first_seen: Dict[str, int] = {}
+    for lineno, (raw, group) in _csv_records(path, (spec.score_column, spec.group_column), "data CSV"):
+        if group is None:
+            raise ValidationError("missing-column", f"row {lineno} is short")
+        if whitelist and group not in whitelist:
+            continue
+        try:
+            score = float(raw)
+        except (TypeError, ValueError):
+            raise ValidationError(
+                "non-numeric-score", f"row {lineno}: cannot parse score {raw!r}"
+            ) from None
+        if not math.isfinite(score):
+            raise ValidationError("non-numeric-score", f"row {lineno}: score {raw!r} is not finite")
+        scores.append(score)
+        codes.append(first_seen.setdefault(group, len(first_seen)))
     if not scores:
         raise ValidationError("no-rows", "no rows survived the group filter")
-    groups, codes = np.unique(np.asarray(labels), return_inverse=True)
-    groups = groups.tolist()
     for g in whitelist:
-        if g not in groups:
+        if g not in first_seen:
             raise ValidationError("missing-group", f"whitelisted group {g!r} has no rows")
+    groups, code_arr = _sorted_codes(list(first_seen), codes)
     arr = np.asarray(scores, dtype=np.float64)
     if spec.jitter:
         arr = arr - substream(spec.seed, "jitter").random(arr.size)
-    by_group = {lab: arr[codes == c] for c, lab in enumerate(groups)}
-    return IngestedData(scores=arr, codes=codes, sample=GroupedSample(groups=by_group))
+    by_group = {lab: arr[code_arr == c] for c, lab in enumerate(groups.tolist())}
+    return IngestedData(scores=arr, codes=code_arr, sample=GroupedSample(groups=by_group))
 
 
 def synthetic_population(a0: float, b0: float, a1: float, b1: float, n: int, seed: int) -> IngestedData:

@@ -32,7 +32,7 @@ quantile equals the exact integer rule (the smallest knot x with
 k * N_s < 1e12: distinct candidate masses then differ from a level by at
 least 1/(2 k N_s), more than the slack.  The slack stays strictly below
 the 1e-12 step of the left-continuity contract
-(``invert_step_cdf(cdf, c + 1e-12)`` lands on the next knot).
+(``cdf.quantiles([c + 1e-12])`` lands on the next knot).
 """
 
 from __future__ import annotations
@@ -49,11 +49,9 @@ __all__ = [
     "GridSpec",
     "QuantileSketch",
     "StepCdf",
-    "empirical_quantile",
     "build_sketch",
     "sketch_to_step_cdf",
     "mix_step_cdfs",
-    "invert_step_cdf",
 ]
 
 CUM_MASS_SLACK = 5e-13
@@ -166,24 +164,6 @@ class StepCdf:
         return self.knots[np.minimum(idx, self.knots.size - 1)]
 
 
-def empirical_quantile(samples: np.ndarray, u: float) -> float:
-    """Lower empirical quantile of a sorted sample at level u in (0, 1).
-
-    Returns ``samples[ceil(u * n) - 1]`` (0-based).  Products ``u * n``
-    within a relative 1e-12 of an integer are snapped to that integer so
-    grid levels reconstructed in floating point do not skip an index.
-    """
-    arr = _as_float_array(samples, "empty-sample", "samples")
-    n = arr.size
-    if n == 0:
-        raise ValidationError("empty-sample", "need at least one sample")
-    if n > 1 and np.any(np.diff(arr) < 0):
-        raise ValidationError("unsorted-samples", "samples must be sorted ascending")
-    if not (isinstance(u, (int, float, np.floating)) and math.isfinite(u)) or not 0.0 < u < 1.0:
-        raise ValidationError("level-out-of-range", f"u must lie in (0, 1), got {u!r}")
-    return float(arr[_quantile_indices(np.asarray([float(u)]), n)[0] - 1])
-
-
 def _quantile_indices(levels: np.ndarray, n: int) -> np.ndarray:
     """1-based sample indices ceil(u * n) for each level, with integer snap."""
     t = levels * n
@@ -227,15 +207,3 @@ def mix_step_cdfs(parts: Sequence[StepCdf]) -> StepCdf:
     start = np.flatnonzero(np.concatenate(([True], knots[1:] != knots[:-1])))
     return StepCdf(knots=knots[start], weights=np.add.reduceat(weights, start))
 
-
-def invert_step_cdf(cdf: StepCdf, u: float) -> float:
-    """Smallest knot whose cumulative mass reaches u (left-continuous).
-
-    The comparison allows ``CUM_MASS_SLACK`` of headroom: a cumulative mass
-    within that slack below u still counts as reaching u.  Probing at a
-    knot's exact cumulative mass therefore returns that knot, while probing
-    1e-12 above it moves to the next knot.
-    """
-    if not (isinstance(u, (int, float, np.floating)) and math.isfinite(u)) or not 0.0 < u < 1.0:
-        raise ValidationError("level-out-of-range", f"u must lie in (0, 1), got {u!r}")
-    return float(cdf.quantiles([float(u)])[0])

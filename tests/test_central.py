@@ -175,10 +175,11 @@ def test_trimmed_grid_matches_manual_levels():
     a0, a1 = sample.alpha()
     want = a0 * a1 * float(np.mean((q0 - q1) ** 2))
     assert u_hat(sample, grid, 2) == pytest.approx(want, rel=1e-12)
-    # the trimmed sketches really do read the inner levels
-    levels = grid.levels()
+    # the trimmed sketches really do read the inner levels: sample index
+    # ceil(u * n) at u = 1/20 + (l - 1/2) * (9/10) / 8, in exact rationals
     x0 = np.sort(sample.groups["a"])
-    manual = np.array([fqs.empirical_quantile(x0, u) for u in levels])
+    levels = [Fraction(1, 20) + (l - Fraction(1, 2)) * Fraction(9, 10) / 8 for l in range(1, 9)]
+    manual = np.array([x0[math.ceil(u * x0.size) - 1] for u in levels])
     assert np.array_equal(q0, manual)
 
 

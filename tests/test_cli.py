@@ -198,6 +198,40 @@ def test_sketch_requires_exactly_one_split(runner, tmp_path):
     assert "error [invalid-scenario]" in result.output
 
 
+def sketch_with_allocation(runner, tmp_path, allocation):
+    data = tmp_path / "data.csv"
+    data.write_text(BASIC_ROWS, encoding="utf-8")
+    alloc = tmp_path / "alloc.csv"
+    alloc.write_text(allocation, encoding="utf-8")
+    return runner.invoke(
+        main,
+        ["sketch", "--data", str(data), "--score-col", "score", "--group-col", "race",
+         "--allocation", str(alloc), "--grid-k", "4", "--out", str(tmp_path / "msgs")],
+    )
+
+
+def test_sketch_rejects_repeated_allocation_row(runner, tmp_path):
+    # rows 0..4 are all covered, but row 3 is named twice
+    result = sketch_with_allocation(runner, tmp_path, "row,silo\n0,a\n1,a\n2,b\n3,b\n4,a\n3,a\n")
+    assert result.exit_code == 2
+    assert "error [margin-mismatch]" in result.output
+    assert "row id 3 appears 2 times" in result.output
+    assert not (tmp_path / "msgs").exists()
+
+
+@pytest.mark.parametrize("allocation, code, reason", [
+    ("row,silo\n0,a\n1,a\n2\n3,b\n4,b\n", "missing-column", "allocation CSV row 4 is short"),
+    ("silo,row\na,0\na,1\nb\nb,3\nb,4\n", "missing-column", "allocation CSV row 4 is short"),
+    ("row,silo\n0,a\nx,a\n2,b\n3,b\n4,b\n", "non-numeric-score", "allocation CSV row 3: bad row id 'x'"),
+    ("row,silo\n0,a\n1,a\n2,b\n3,b\n5,b\n", "margin-mismatch", "allocation CSV row 6: row id 5 is outside 0..4"),
+], ids=["short-record", "short-row-id", "bad-row-id", "row-id-out-of-range"])
+def test_sketch_rejects_malformed_allocation_record(runner, tmp_path, allocation, code, reason):
+    result = sketch_with_allocation(runner, tmp_path, allocation)
+    assert result.exit_code == 2
+    assert f"error [{code}]: {reason}\n" in result.output
+    assert not (tmp_path / "msgs").exists()
+
+
 def test_federate_rejects_corrupted_file(runner, tmp_path):
     bad = tmp_path / "bad.fqs"
     bad.write_bytes(b"XQS1" + b"\x00" * 20)
@@ -304,6 +338,19 @@ def test_simulate_margins_csv_roundtrip(runner, tmp_path):
          "--margins", str(first / "margins.csv"), "--out", str(second)],
     )
     assert read_csv(first / "margins.csv") == read_csv(second / "margins.csv")
+
+
+def test_simulate_rejects_non_integer_margin(runner, tmp_path):
+    margins = tmp_path / "m.csv"
+    margins.write_text("silo,g0,g1\n1,1,x\n", encoding="utf-8")
+    result = runner.invoke(
+        main,
+        ["simulate", "--synthetic", "--n", "100", "--regime", "positive",
+         "--margins", str(margins), "--out", str(tmp_path / "sim")],
+    )
+    assert result.exit_code == 2
+    reason = "margins CSV row 2: group 'g1' count 'x' is not an integer"
+    assert f"error [margin-mismatch]: {reason}\n" in result.output
 
 
 def test_simulate_allocation_feeds_sketch(runner, tmp_path):

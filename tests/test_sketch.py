@@ -12,11 +12,10 @@ from fqs import (
     StepCdf,
     ValidationError,
     build_sketch,
-    empirical_quantile,
-    invert_step_cdf,
     mix_step_cdfs,
     sketch_to_step_cdf,
 )
+from fqs.sketch import _quantile_indices
 
 from .conftest import rng, sketches, step_cdfs
 
@@ -52,35 +51,28 @@ def test_grid_levels_strictly_inside_unit_interval(k):
 
 
 # ------------------------------------------------- empirical quantile
+# build_sketch reads sample index ceil(u * n) (1-based) at each level u.
 
 def test_empirical_quantile_lower_convention():
-    samples = np.array([1.0, 2.0, 3.0, 4.0])
     # ceil(u*n): u=0.25 -> index 1, u just above -> index 2
-    assert empirical_quantile(samples, 0.25) == 1.0
-    assert empirical_quantile(samples, 0.26) == 2.0
-    assert empirical_quantile(samples, 0.5) == 2.0
-    assert empirical_quantile(samples, 0.51) == 3.0
-    assert empirical_quantile(samples, 0.999) == 4.0
-    assert empirical_quantile(samples, 1e-9) == 1.0
+    levels = np.array([0.25, 0.26, 0.5, 0.51, 0.999, 1e-9])
+    assert _quantile_indices(levels, 4).tolist() == [1, 2, 2, 3, 4, 1]
 
 
 def test_empirical_quantile_snaps_float_products():
     # 0.3 * 10 = 3.0000000000000004 in floats; the snap keeps index 3
-    samples = np.arange(1.0, 11.0)
-    assert empirical_quantile(samples, 0.3) == 3.0
+    assert _quantile_indices(np.array([0.3]), 10).tolist() == [3]
 
 
-def test_empirical_quantile_errors():
+def test_build_sketch_rejects_bad_samples():
+    grid = GridSpec(k=2)
     with pytest.raises(ValidationError) as e:
-        empirical_quantile(np.array([]), 0.5)
+        build_sketch(np.array([]), grid)
     assert e.value.code == "empty-sample"
-    with pytest.raises(ValidationError) as e:
-        empirical_quantile(np.array([2.0, 1.0]), 0.5)
-    assert e.value.code == "unsorted-samples"
-    for bad in (0.0, 1.0, -0.1, 1.5, float("nan")):
+    for bad in (np.array([1.0, np.nan]), np.array([1.0, -np.inf]), np.ones((2, 2))):
         with pytest.raises(ValidationError) as e:
-            empirical_quantile(np.array([1.0]), bad)
-        assert e.value.code == "level-out-of-range"
+            build_sketch(bad, grid)
+        assert e.value.code == "non-finite-sample"
 
 
 @given(st.integers(min_value=1, max_value=40), st.integers(min_value=1, max_value=40))
@@ -89,14 +81,11 @@ def test_empirical_quantile_matches_counting_definition(n, numer):
     # exact rational arithmetic for u = numer / (n*40)
     from fractions import Fraction
 
-    gen = rng(n * 1000 + numer)
-    samples = np.sort(gen.normal(size=n))
     u = Fraction(numer, 40 * n) * n  # = u * n exactly
     if not 0 < Fraction(numer, 40 * n) < 1:
         return
     want_ix = -(-u.numerator // u.denominator)  # ceil
-    got = empirical_quantile(samples, numer / (40 * n))
-    assert got == samples[want_ix - 1]
+    assert _quantile_indices(np.array([numer / (40 * n)]), n).tolist() == [want_ix]
 
 
 # ----------------------------------------------------------- sketches
@@ -252,11 +241,9 @@ def test_invert_left_continuity_contract():
     cdf = StepCdf(knots=np.array([1.0, 2.0, 3.0]), weights=np.array([2.0, 3.0, 5.0]))
     cums = np.cumsum(cdf.weights) / cdf.weights.sum()
     # probing exactly at a knot's cumulative mass returns that knot ...
-    assert invert_step_cdf(cdf, cums[0]) == 1.0
-    assert invert_step_cdf(cdf, cums[1]) == 2.0
+    assert cdf.quantiles(cums[:2]).tolist() == [1.0, 2.0]
     # ... and 1e-12 above it moves to the next knot
-    assert invert_step_cdf(cdf, cums[0] + 1e-12) == 2.0
-    assert invert_step_cdf(cdf, cums[1] + 1e-12) == 3.0
+    assert cdf.quantiles(cums[:2] + 1e-12).tolist() == [2.0, 3.0]
 
 
 @given(step_cdfs())
@@ -266,17 +253,9 @@ def test_invert_left_continuity_random(cdf):
         c = float(cums[i])
         if not 0.0 < c < 1.0:
             continue
-        assert invert_step_cdf(cdf, c) == cdf.knots[i]
+        assert cdf.quantiles([c])[0] == cdf.knots[i]
         if i + 1 < cdf.knots.size and c + 1e-12 < 1.0:
-            assert invert_step_cdf(cdf, c + 1e-12) == cdf.knots[i + 1]
-
-
-def test_invert_level_range():
-    cdf = StepCdf(knots=np.array([0.0]), weights=np.array([1.0]))
-    for bad in (0.0, 1.0, -1.0, 2.0):
-        with pytest.raises(ValidationError) as e:
-            invert_step_cdf(cdf, bad)
-        assert e.value.code == "level-out-of-range"
+            assert cdf.quantiles([c + 1e-12])[0] == cdf.knots[i + 1]
 
 
 @given(sketches())
