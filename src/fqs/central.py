@@ -25,7 +25,7 @@ from typing import Dict, Mapping
 
 import numpy as np
 
-from .distances import barycenter_quantiles, cdf_disparity, transport_disparity
+from .distances import _overflow_guard, barycenter_quantiles, cdf_disparity, transport_disparity
 from .errors import ValidationError
 from .sketch import GridSpec, QuantileSketch, build_sketch, sketch_to_step_cdf
 
@@ -83,14 +83,16 @@ def u_hat(sample: GroupedSample, grid: GridSpec, p) -> float:
     """Transport disparity of the grouped sample, in p-th power units."""
     sketches = sample.sketches(grid)
     rows = np.vstack([sketches[label].values for label in sample.labels])
-    return transport_disparity(rows, sample.alpha(), p)[1]
+    with _overflow_guard(p):
+        return transport_disparity(rows, sample.alpha(), p)[1]
 
 
 def h_hat(sample: GroupedSample, grid: GridSpec, p) -> float:
     """CDF disparity of the grouped sample, in p-th power units."""
     sketches = sample.sketches(grid)
     cdfs = [sketch_to_step_cdf(sketches[label]) for label in sample.labels]
-    return cdf_disparity(cdfs, sample.alpha(), p)
+    with _overflow_guard(p):
+        return cdf_disparity(cdfs, sample.alpha(), p)
 
 
 def u2_linear_exact(sample: GroupedSample, grid: GridSpec) -> float:

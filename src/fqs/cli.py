@@ -231,7 +231,7 @@ def _read_allocation_csv(path: str, n: int) -> Tuple[np.ndarray, np.ndarray]:
         try:
             ix = int(raw)
         except ValueError:
-            raise ValidationError("non-numeric-score",
+            raise ValidationError("invalid-row-id",
                                   f"allocation CSV row {lineno}: bad row id {raw!r}") from None
         if not 0 <= ix < n:
             raise ValidationError("margin-mismatch",

@@ -22,9 +22,9 @@ from typing import Dict, List, Mapping, Optional, Sequence, Tuple
 
 import numpy as np
 
-from .distances import barycenter_quantiles, cdf_disparity, power_dispersion, transport_disparity
+from .distances import _overflow_guard, barycenter_quantiles, cdf_disparity, power_dispersion, transport_disparity
 from .errors import ValidationError
-from .sketch import GridSpec, QuantileSketch, build_sketch, mix_step_cdfs, sketch_to_step_cdf
+from .sketch import GridSpec, QuantileSketch, build_sketch, mix_step_cdfs
 
 __all__ = [
     "SiloMessage",
@@ -161,28 +161,29 @@ def server_audit(messages: Sequence[SiloMessage], p) -> AuditReport:
     mixture_rows = np.empty((len(labels), k), dtype=np.float64)
     within_center = np.empty((len(labels), k), dtype=np.float64)
     group_cdfs = []
-    for i, s in enumerate(labels):
-        silos = sorted(counts[s])
-        sketches = [by_id[j].entries[s] for j in silos]
-        mixed = mix_step_cdfs([sketch_to_step_cdf(sk) for sk in sketches])
-        group_cdfs.append(mixed)
-        mixture_rows[i] = mixed.quantiles(levels)
-        within_center[i] = barycenter_quantiles(
-            np.vstack([sk.values for sk in sketches]), [pi[s][j] for j in silos], p
-        )
+    with _overflow_guard(p):
+        for i, s in enumerate(labels):
+            silos = sorted(counts[s])
+            stacked = np.vstack([by_id[j].entries[s].values for j in silos])
+            # each silo's k values weigh its count; ties across silos merge
+            weights = np.repeat(np.array([counts[s][j] for j in silos], dtype=np.float64), k)
+            mixed = mix_step_cdfs(stacked.ravel(), weights)
+            group_cdfs.append(mixed)
+            mixture_rows[i] = mixed.quantiles(levels)
+            within_center[i] = barycenter_quantiles(stacked, [pi[s][j] for j in silos], p)
 
-    center, g_hat = transport_disparity(mixture_rows, alpha_vec, p)
-    h_hat = cdf_disparity(group_cdfs, alpha_vec, p)
-
-    v_mix = v_bar = r = v1_mix = v1_bar = None
-    mix_part = power_dispersion(mixture_rows, alpha_vec, within_center, p)
-    bar_part = power_dispersion(within_center, alpha_vec, center, p)
-    if p == 2:
-        v_mix, v_bar = mix_part, bar_part
-        cross = (mixture_rows - within_center) * (within_center - center)
-        r = 2.0 * math.fsum(alpha_vec[i] * (math.fsum(cross[i]) / k) for i in range(len(labels)))
-    else:
-        v1_mix, v1_bar = mix_part, bar_part
+        center, g_hat = transport_disparity(mixture_rows, alpha_vec, p)
+        h_hat = cdf_disparity(group_cdfs, alpha_vec, p)
+        v_mix = v_bar = r = v1_mix = v1_bar = None
+        mix_part = power_dispersion(mixture_rows, alpha_vec, within_center, p)
+        bar_part = power_dispersion(within_center, alpha_vec, center, p)
+        if p == 2:
+            v_mix, v_bar = mix_part, bar_part
+            cross = (mixture_rows - within_center) * (within_center - center)
+            # ldexp doubles exactly and, unlike 2.0 * x, raises on overflow
+            r = math.ldexp(math.fsum(alpha_vec[i] * (math.fsum(cross[i]) / k) for i in range(len(labels))), 1)
+        else:
+            v1_mix, v1_bar = mix_part, bar_part
 
     degenerate = [
         [m.silo_id, label] for m in ordered for label, sk in m.entries.items() if sk.count == 1

@@ -22,9 +22,14 @@ A sketch value weighs its tie count times the sketch's sample count, so
 every weight, running weight and total is an integer held in a float64.
 Such sums are exact while the total stays below 2**53 (k * N < 2**53 for
 N pooled samples), and each cumulative mass is then one correctly rounded
-division.  Mixing needs no weight argument: concatenating the parts of
-one group gives its count-weighted (pi) mixture, and concatenating the
-group mixtures gives the count-weighted (alpha) pooled law.
+division.  One flat kernel, ``mix_step_cdfs(knots, weights)``, builds
+every step distribution from weighted points in any order (one stable
+argsort; ``np.add.reduceat`` merges ties): a sketch is its one-row call,
+a group's count-weighted (pi) mixture the call on its stacked silos x k
+value matrix with each silo's count repeated k times, and the (alpha)
+pooled law the call on the concatenated group knots and weights.
+Integer weights add exactly in any order, so the grouping and order of
+the points do not change a bit of the result.
 
 ``CUM_MASS_SLACK`` is the one tolerance.  On an untrimmed grid a mixture
 quantile equals the exact integer rule (the smallest knot x with
@@ -39,7 +44,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from typing import Sequence
 
 import numpy as np
 
@@ -186,24 +190,21 @@ def build_sketch(samples, grid: GridSpec) -> QuantileSketch:
 def sketch_to_step_cdf(sk: QuantileSketch) -> StepCdf:
     """Distribution of the sketch values, each weighing the sample count
     (ties merge), so its cumulative masses are exactly rounded c / k."""
-    uniq, ties = np.unique(sk.values, return_counts=True)
-    return StepCdf(knots=uniq, weights=ties.astype(np.float64) * sk.count)
+    return mix_step_cdfs(sk.values, np.full(sk.values.size, float(sk.count)))
 
 
-def mix_step_cdfs(parts: Sequence[StepCdf]) -> StepCdf:
-    """Mixture of step distributions in proportion to their total weights.
+def mix_step_cdfs(knots, weights) -> StepCdf:
+    """Step distribution of weighted points given in any order.
 
-    The parts' knots are stable-sorted together and coinciding knots merge
-    by adding weights; a single part comes back unchanged.
+    The points are stable-sorted and coinciding ones merge by adding their
+    weights.  Concatenated parts give their mixture in proportion to the
+    parts' total weights, in any part order.
     """
-    if len(parts) == 0:
-        raise ValidationError("invalid-step-cdf", "need at least one part")
-    if len(parts) == 1:
-        return parts[0]
-    knots = np.concatenate([p.knots for p in parts])
+    knots = _as_float_array(knots, "invalid-step-cdf", "knots")
+    weights = _as_float_array(weights, "invalid-step-cdf", "weights")
+    if knots.size == 0 or knots.size != weights.size or np.any(weights <= 0):
+        raise ValidationError("invalid-step-cdf", "need at least one knot and one positive weight per knot")
     order = np.argsort(knots, kind="stable")
     knots = knots[order]
-    weights = np.concatenate([p.weights for p in parts])[order]
     start = np.flatnonzero(np.concatenate(([True], knots[1:] != knots[:-1])))
-    return StepCdf(knots=knots[start], weights=np.add.reduceat(weights, start))
-
+    return StepCdf(knots=knots[start], weights=np.add.reduceat(weights[order], start))

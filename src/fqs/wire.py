@@ -109,14 +109,17 @@ def _assemble(silo_id: str, k: int, trim_epsilon: float, raw_entries) -> SiloMes
     labels = [label for label, _, _ in raw_entries]
     if len(set(labels)) != len(labels):
         raise MalformedInputError("malformed-message", "duplicate group labels")
+    where = f"silo {silo_id!r}"
     try:
         grid = GridSpec(k=int(k), trim_epsilon=float(trim_epsilon))
         entries: Dict[str, QuantileSketch] = {}
         for label, count, values in raw_entries:
+            where = f"silo {silo_id!r}, group {label!r}"
             entries[label] = QuantileSketch(grid=grid, values=values, count=int(count))
+        where = f"silo {silo_id!r}"
         return SiloMessage(silo_id=silo_id, grid=grid, entries=entries)
     except ValidationError as exc:
-        raise MalformedInputError("invalid-sketch", exc.message) from None
+        raise MalformedInputError("invalid-sketch", f"{where}: {exc.message}") from None
 
 
 def message_to_json(msg: SiloMessage) -> str:

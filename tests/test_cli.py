@@ -222,7 +222,7 @@ def test_sketch_rejects_repeated_allocation_row(runner, tmp_path):
 @pytest.mark.parametrize("allocation, code, reason", [
     ("row,silo\n0,a\n1,a\n2\n3,b\n4,b\n", "missing-column", "allocation CSV row 4 is short"),
     ("silo,row\na,0\na,1\nb\nb,3\nb,4\n", "missing-column", "allocation CSV row 4 is short"),
-    ("row,silo\n0,a\nx,a\n2,b\n3,b\n4,b\n", "non-numeric-score", "allocation CSV row 3: bad row id 'x'"),
+    ("row,silo\n0,a\nx,a\n2,b\n3,b\n4,b\n", "invalid-row-id", "allocation CSV row 3: bad row id 'x'"),
     ("row,silo\n0,a\n1,a\n2,b\n3,b\n5,b\n", "margin-mismatch", "allocation CSV row 6: row id 5 is outside 0..4"),
 ], ids=["short-record", "short-row-id", "bad-row-id", "row-id-out-of-range"])
 def test_sketch_rejects_malformed_allocation_record(runner, tmp_path, allocation, code, reason):
@@ -230,6 +230,23 @@ def test_sketch_rejects_malformed_allocation_record(runner, tmp_path, allocation
     assert result.exit_code == 2
     assert f"error [{code}]: {reason}\n" in result.output
     assert not (tmp_path / "msgs").exists()
+
+
+@pytest.mark.parametrize("scale", [1e200, 1e300])
+def test_p2_overflow_exits_2_and_p1_succeeds(runner, tmp_path, scale):
+    gen = np.random.default_rng(4)
+    rows = [(x * scale, "a") for x in gen.beta(2, 5, 30)] + [(-x * scale, "b") for x in gen.beta(3, 5, 30)]
+    data = tmp_path / "big.csv"
+    data.write_text("score,group\n" + "".join(f"{x:.17g},{g}\n" for x, g in rows), encoding="utf-8")
+    cols = ["--data", str(data), "--score-col", "score", "--group-col", "group", "--grid-k", "8"]
+    invoke_ok(runner, ["sketch"] + cols + ["--d", "2", "--out", str(tmp_path / "msgs")])
+    for command in (["audit"] + cols, ["federate", str(tmp_path / "msgs")]):
+        result = runner.invoke(main, command + ["--p", "2"])
+        assert result.exit_code == 2
+        assert "error [score-overflow]: order-2 disparity sums exceed the float64 range; rescale the scores\n" \
+            in result.output
+        report = json.loads(invoke_ok(runner, command + ["--p", "1"]).output)
+        assert report["h_hat"] > 0
 
 
 def test_federate_rejects_corrupted_file(runner, tmp_path):

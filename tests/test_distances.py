@@ -19,6 +19,7 @@ from fqs import (
     sketch_to_step_cdf,
     wasserstein_p_grid,
 )
+from fqs.distances import cdf_disparity
 from fqs.sketch import StepCdf
 
 from .conftest import rng, sketches, step_cdfs
@@ -115,6 +116,16 @@ def test_unsupported_p():
     with pytest.raises(ValidationError) as e:
         wasserstein_p_grid(a, a, 3)
     assert e.value.code == "unsupported-p"
+
+
+def test_barycenter_and_cdf_disparity_validate_inputs():
+    for rows, code in (([[0.0, 1.0], [2.0]], "grid-mismatch"), ([], "empty-sample"), ([0.0, 1.0], "grid-mismatch")):
+        with pytest.raises(ValidationError) as e:
+            barycenter_quantiles(rows, [1.0], 2)
+        assert e.value.code == code
+    with pytest.raises(ValidationError) as e:
+        cdf_disparity([], [], 1)
+    assert e.value.code == "invalid-step-cdf"
 
 
 def test_grid_mismatch_detected():

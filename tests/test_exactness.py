@@ -3,7 +3,9 @@
 Cumulative masses are integer running weights over an integer total, so
 they are single correctly rounded divisions; mixture quantiles on the
 untrimmed grid follow the exact integer rule; the decomposition sums are
-correctly rounded and survive cancellation.
+correctly rounded and survive cancellation.  The stacked-row group kernel
+and the scatter-plus-cumsum h_hat pass equal the per-cell merge and the
+two-search integral bit for bit.
 """
 
 import math
@@ -13,9 +15,10 @@ import numpy as np
 from hypothesis import given
 from hypothesis import strategies as st
 
-from fqs import GridSpec, QuantileSketch, SiloMessage, server_audit, sketch_to_step_cdf
+from fqs import GridSpec, QuantileSketch, SiloMessage, StepCdf, mix_step_cdfs, server_audit, sketch_to_step_cdf
+from fqs.distances import cdf_disparity, cramer_integral
 
-from .conftest import sketches
+from .conftest import sketches, step_cdfs
 
 
 @st.composite
@@ -132,3 +135,57 @@ def test_cross_term_survives_cancellation():
     b = within - report.barycenter_quantiles
     naive = 2 * 0.5 * (sum(a * b) / 3)
     assert naive == 0.0
+
+
+def _stable_merge(knots, weights):
+    """Concatenate parts, stable-sort their knots and add tied weights."""
+    knots, weights = np.concatenate(knots), np.concatenate(weights)
+    order = np.argsort(knots, kind="stable")
+    knots, weights = knots[order], weights[order]
+    start = np.flatnonzero(np.concatenate(([True], knots[1:] != knots[:-1])))
+    return StepCdf(knots=knots[start], weights=np.add.reduceat(weights, start))
+
+
+def _per_cell_then_merge(cells):
+    """Reference group mixture: one tie-merged step distribution per
+    (silo, group) cell, then one stable merge of all cells."""
+    parts = [np.unique(values, return_counts=True) for values, _ in cells]
+    return _stable_merge([uniq for uniq, _ in parts],
+                         [ties.astype(np.float64) * n for (_, ties), (_, n) in zip(parts, cells)])
+
+
+def _group_cells(cells, label):
+    """The (values, count) cells of one group in sorted silo order."""
+    return [cells[key] for key in sorted(cells) if key[1] == label]
+
+
+@given(tied_federations())
+def test_stacked_group_mixture_equals_per_cell_merge(fed):
+    grid, cells, messages = fed
+    report = server_audit(messages, 2)
+    cdfs = []
+    for label in ("g0", "g1"):
+        group = _group_cells(cells, label)
+        stacked = np.vstack([vals for vals, _ in group])
+        counts = np.array([n for _, n in group], dtype=np.float64)
+        got = mix_step_cdfs(stacked.ravel(), np.repeat(counts, grid.k))
+        want = _per_cell_then_merge(group)
+        assert np.array_equal(got.knots, want.knots)
+        assert np.array_equal(got.weights, want.weights)
+        assert np.array_equal(got._cum, want._cum)
+        assert np.array_equal(report.mixture_quantiles[label], want.quantiles(grid.levels()))
+        cdfs.append(want)
+    # the report's h_hat is the two-search integral against the pooled law
+    alpha = np.array([report.weights.alpha["g0"], report.weights.alpha["g1"]])
+    pooled = _stable_merge([f.knots for f in cdfs], [f.weights for f in cdfs])
+    want_h = math.fsum(w * cramer_integral(f, pooled, 2) for w, f in zip(alpha, cdfs))
+    assert report.h_hat == want_h
+
+
+@given(st.lists(step_cdfs(), min_size=1, max_size=4), st.sampled_from([1, 2]))
+def test_cdf_disparity_equals_two_search_integral(cdfs, p):
+    totals = np.array([f.weights.sum() for f in cdfs])
+    weights = totals / totals.sum()
+    pooled = _stable_merge([f.knots for f in cdfs], [f.weights for f in cdfs])
+    want = math.fsum(w * cramer_integral(f, pooled, p) for w, f in zip(weights, cdfs))
+    assert cdf_disparity(cdfs, weights, p) == want

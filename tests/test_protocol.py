@@ -267,6 +267,37 @@ def test_server_rejects_single_group_union():
     assert e.value.code == "too-few-groups"
 
 
+def huge_score_federation(scale):
+    """Two silos whose scores reach scale, and the pooled groups."""
+    gen = rng(11)
+    silos = [{"g0": gen.beta(2, 5, 40) * scale, "g1": -gen.beta(3, 5, 30) * scale} for _ in range(2)]
+    messages = [client_summarize(sid, groups, GridSpec(k=8)) for sid, groups in zip("AB", silos)]
+    pooled = GroupedSample({g: np.concatenate([s[g] for s in silos]) for g in ("g0", "g1")})
+    return messages, pooled
+
+
+@pytest.mark.parametrize("scale", [1e200, 1e300])
+def test_p2_overflow_is_a_validation_error(scale):
+    # squared gaps of scores this large exceed the float64 range
+    messages, pooled = huge_score_federation(scale)
+    for run in (lambda: server_audit(messages, 2), lambda: u_hat(pooled, GridSpec(k=8), 2)):
+        with pytest.raises(ValidationError) as e:
+            run()
+        assert e.value.code == "score-overflow"
+        assert "float64 range" in e.value.message
+
+
+@pytest.mark.parametrize("scale", [1e200, 1e300])
+def test_p1_stays_finite_on_huge_scores(scale):
+    messages, pooled = huge_score_federation(scale)
+    report = server_audit(messages, 1)
+    values = [report.g_hat, report.h_hat, report.v1_mix, report.v1_bar]
+    values += [u_hat(pooled, GridSpec(k=8), 1), h_hat(pooled, GridSpec(k=8), 1)]
+    assert all(math.isfinite(v) and v > 0 for v in values)
+    # the CDF disparity at p = 2 integrates gaps below 1, so it stays finite too
+    assert math.isfinite(h_hat(pooled, GridSpec(k=8), 2))
+
+
 def test_server_rejects_unsupported_p():
     with pytest.raises(AuditError) as e:
         server_audit(two_silo_messages(), 3)

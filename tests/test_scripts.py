@@ -1,6 +1,7 @@
 """The scripts under scripts/ run against the installed package."""
 
 import importlib.util
+import json
 import os
 
 from click.testing import CliRunner
@@ -31,3 +32,14 @@ def test_synthetic_sweep_matches_cli_sweep(tmp_path, capsys):
     assert result.exit_code == 0, result.output
     for name in ("sweep_summary.csv", "sweep_replications.csv", "k95.csv"):
         assert (tmp_path / "script" / name).read_bytes() == (tmp_path / "cli" / name).read_bytes()
+
+
+def test_bench_server_audit_prints_one_json_line(capsys):
+    load_script("bench_server_audit").main(["--shapes", "3,2,4;2,3,1", "--repeats", "1"])
+    lines = capsys.readouterr().out.splitlines()
+    assert len(lines) == 1
+    record = json.loads(lines[0])
+    assert [(r["d"], r["groups"], r["k"]) for r in record["shapes"]] == [(3, 2, 4), (2, 3, 1)]
+    for row in record["shapes"]:
+        for key in ("server_audit_p2_s", "server_audit_p1_s", "decode_all_s"):
+            assert row[key] > 0

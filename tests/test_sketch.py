@@ -193,42 +193,63 @@ def test_knot_perturbation_bound():
 
 # -------------------------------------------------------------- mixing
 
+def mix(*parts):
+    """Mixture of whole step distributions through the flat point kernel."""
+    return mix_step_cdfs(np.concatenate([p.knots for p in parts]), np.concatenate([p.weights for p in parts]))
+
+
 def test_mix_two_step_cdfs_manual_oracle():
     # totals 2 and 6: the mixture is 0.25 * a + 0.75 * b
     a = StepCdf(knots=np.array([0.0]), weights=np.array([2.0]))
     b = StepCdf(knots=np.array([0.0, 1.0]), weights=np.array([3.0, 3.0]))
-    mixed = mix_step_cdfs([a, b])
+    mixed = mix(a, b)
     assert np.array_equal(mixed.knots, [0.0, 1.0])
     assert np.array_equal(mixed.weights, [5.0, 3.0])
     assert np.array_equal(mixed.cdf_at(mixed.knots), [0.625, 1.0])
+    # the points may come in any order, ties anywhere
+    shuffled = mix_step_cdfs([1.0, 0.0, 0.0], [3.0, 2.0, 3.0])
+    assert np.array_equal(shuffled.knots, [0.0, 1.0])
+    assert np.array_equal(shuffled.weights, [5.0, 3.0])
 
 
-def test_mix_single_unit_weight_is_identity_object():
+def test_mix_single_part_is_unchanged():
     a = StepCdf(knots=np.array([3.0, 4.0]), weights=np.array([1.0, 1.0]))
-    assert mix_step_cdfs([a]) is a
+    m = mix(a)
+    assert np.array_equal(m.knots, a.knots)
+    assert np.array_equal(m.weights, a.weights)
+    assert np.array_equal(m._cum, a._cum)
 
 
 def test_mix_weight_validation():
-    with pytest.raises(ValidationError) as e:
-        mix_step_cdfs([])
-    assert e.value.code == "invalid-step-cdf"
+    for knots, weights in (([], []), ([1.0, 2.0], [1.0]), ([1.0, 1.0], [2.0, -1.0]),
+                           ([1.0], [0.0]), ([np.nan], [1.0]), ([1.0], [np.inf]), ([[1.0]], [[1.0]])):
+        with pytest.raises(ValidationError) as e:
+            mix_step_cdfs(knots, weights)
+        assert e.value.code == "invalid-step-cdf"
     # count weights of coinciding knots add exactly
     a = StepCdf(knots=np.array([0.0, 1.0]), weights=np.array([3.0, 2.0**52]))
     b = StepCdf(knots=np.array([1.0]), weights=np.array([1.0]))
-    assert np.array_equal(mix_step_cdfs([a, b]).weights, [3.0, 2.0**52 + 1.0])
+    assert np.array_equal(mix(a, b).weights, [3.0, 2.0**52 + 1.0])
 
 
-@given(step_cdfs(), step_cdfs(), step_cdfs())
-def test_mix_is_permutation_invariant(a, b, c):
-    m1 = mix_step_cdfs([a, b, c])
-    m2 = mix_step_cdfs([c, a, b])
-    assert np.array_equal(m1.knots, m2.knots)
-    assert np.array_equal(m1.weights, m2.weights)
+@given(step_cdfs(), step_cdfs(), step_cdfs(), st.randoms(use_true_random=False))
+def test_mix_is_permutation_invariant(a, b, c, rnd):
+    m1 = mix(a, b, c)
+    m2 = mix(c, a, b)
+    knots = np.concatenate([a.knots, b.knots, c.knots])
+    weights = np.concatenate([a.weights, b.weights, c.weights])
+    order = list(range(knots.size))
+    rnd.shuffle(order)
+    m3 = mix_step_cdfs(knots[order], weights[order])
+    for m in (m2, m3):
+        assert np.array_equal(m1.knots, m.knots)
+        assert np.array_equal(m1.weights, m.weights)
+        assert np.array_equal(m1._cum, m._cum)
 
 
 @given(step_cdfs(), step_cdfs())
 def test_mix_cdf_is_convex_combination(a, b):
-    mixed = mix_step_cdfs([a, b])
+    mixed = mix(a, b)
     ta, tb = a.weights.sum(), b.weights.sum()
     probes = np.unique(np.concatenate([a.knots, b.knots, [0.0, 1e6]]))
     want = (ta * a.cdf_at(probes) + tb * b.cdf_at(probes)) / (ta + tb)
@@ -261,7 +282,7 @@ def test_invert_left_continuity_random(cdf):
 @given(sketches())
 def test_single_sketch_mixture_roundtrip(sk):
     # the mixture of one sketch inverts back to the exact values
-    got = mix_step_cdfs([sketch_to_step_cdf(sk)]).quantiles(sk.grid.levels())
+    got = mix(sketch_to_step_cdf(sk)).quantiles(sk.grid.levels())
     assert np.array_equal(got, sk.values)
 
 
@@ -271,5 +292,5 @@ def test_mixture_quantiles_manual_two_parts():
     grid = GridSpec(k=10)
     a = StepCdf(knots=np.array([0.0]), weights=np.array([6.0]))
     b = StepCdf(knots=np.array([1.0]), weights=np.array([4.0]))
-    got = mix_step_cdfs([a, b]).quantiles(grid.levels())
+    got = mix(a, b).quantiles(grid.levels())
     assert np.array_equal(got, [0.0] * 6 + [1.0] * 4)

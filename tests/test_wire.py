@@ -127,6 +127,59 @@ def test_truncations_of_larger_message_rejected():
             decode_message(blob[:cut])
 
 
+def decode_or_reject(blob):
+    """Decode, or reject with MalformedInputError and no other exception."""
+    try:
+        return decode_message(blob)
+    except MalformedInputError as exc:
+        assert exit_code_for(exc) == 3
+        return None
+
+
+def test_decode_fuzz_raises_only_malformed_input():
+    # random bit flips, some followed by a truncation
+    gen = rng(347)
+    for _ in range(40):
+        blob = encode_message(random_message(gen, k=int(gen.integers(1, 6))))
+        for _ in range(50):
+            mutated = bytearray(blob)
+            for bit in gen.integers(0, 8 * len(blob), size=int(gen.integers(1, 4))):
+                mutated[bit // 8] ^= 1 << (bit % 8)
+            if gen.random() < 0.25:
+                mutated = mutated[: int(gen.integers(0, len(blob)))]
+            decode_or_reject(bytes(mutated))
+
+
+def length_fields(msg):
+    """Offset and format of every length field and count of an encoded message."""
+    sid = len(msg.silo_id.encode("utf-8"))
+    fields = {"silo-id length": (4, "<H"), "k": (6 + sid, "<I"), "group count": (18 + sid, "<H")}
+    pos = 20 + sid
+    for label in sorted(msg.entries):
+        lab = len(label.encode("utf-8"))
+        fields[f"label length {label}"] = (pos, "<H")
+        fields[f"count {label}"] = (pos + 2 + lab, "<Q")
+        pos += 2 + lab + 8 + 8 * msg.grid.k
+    return fields
+
+
+def test_length_fields_at_their_maximum():
+    gen = rng(349)
+    for _ in range(20):
+        msg = random_message(gen)
+        blob = encode_message(msg)
+        for name, (pos, fmt) in length_fields(msg).items():
+            size = struct.calcsize(fmt)
+            mutated = bytearray(blob)
+            mutated[pos : pos + size] = struct.pack(fmt, 2 ** (8 * size) - 1)
+            got = decode_or_reject(bytes(mutated))
+            if name.startswith("count"):
+                # a count is no length: the largest u64 is a valid count
+                assert got is not None and encode_message(got) == bytes(mutated)
+            else:
+                assert got is None, name
+
+
 def test_bad_magic_rejected():
     blob = encode_message(golden_message())
     expect_rejection(b"XQS1" + blob[4:], "malformed-message")
@@ -170,6 +223,18 @@ def test_unsorted_values_rejected():
     tail = blob[-32:]
     blob[-32:] = tail[8:16] + tail[:8] + tail[16:]
     expect_rejection(bytes(blob), "invalid-sketch")
+
+
+def test_invalid_sketch_names_silo_and_group():
+    msg = client_summarize("east", {"a": [1.0, 2.0], "b": [0.0, 1.0, 2.0, 3.0]}, GridSpec(k=4))
+    blob = bytearray(encode_message(msg))
+    # group "b" is written last: swap its first two values so they decrease
+    tail = blob[-32:]
+    blob[-32:] = tail[8:16] + tail[:8] + tail[16:]
+    with pytest.raises(MalformedInputError) as e:
+        decode_message(bytes(blob))
+    assert e.value.code == "invalid-sketch"
+    assert e.value.message == "silo 'east', group 'b': sketch values must be nondecreasing"
 
 
 def test_zero_k_rejected():
